@@ -44,9 +44,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.checkpoint import ChunkJournal, execute_chunks
-from repro.experiments.config import DEFAULT_CHUNK_RETRIES
-from repro.experiments.runner import chunk_bounds
+from repro.experiments.runner import _run_matrix_cells, chunk_bounds
 from repro.experiments.stochastic import _trial_factory, normalize_algorithm
 from repro.problems.samplers import AlphaSampler, UniformAlpha
 from repro.problems.synthetic import SyntheticProblem
@@ -216,9 +214,9 @@ def fault_trial_metrics(
     return out
 
 
-def _fault_chunk(args) -> Tuple[Hashable, int, np.ndarray]:
+def _fault_chunk(args) -> Tuple[int, np.ndarray]:
     """Worker: one trial chunk of one fault-study cell (picklable)."""
-    cell_key, algo, n, rate, sampler, start, stop, seed, lam, policy = args
+    algo, n, rate, sampler, start, stop, seed, lam, policy = args
     matrix = fault_trial_metrics(
         algo,
         n,
@@ -230,7 +228,7 @@ def _fault_chunk(args) -> Tuple[Hashable, int, np.ndarray]:
         lam=lam,
         policy=policy,
     )
-    return cell_key, start, matrix
+    return start, matrix
 
 
 def _fault_fingerprint(
@@ -289,89 +287,38 @@ def run_fault_study(
     policy = policy or RecoveryPolicy()
     algorithms = tuple(normalize_algorithm(a) for a in algorithms)
     size = chunk_size if chunk_size is not None else DEFAULT_FAULT_CHUNK_SIZE
-    chunks = chunk_bounds(n_trials, size)
     cells: List[Tuple[Hashable, str, int, float]] = [
         ((algo, n, rate), algo, n, float(rate))
         for algo in algorithms
         for n in n_values
         for rate in fault_rates
     ]
-    tasks = [
-        (cell_key, algo, n, rate, sampler, start, stop, seed, lam, policy)
-        for cell_key, algo, n, rate in cells
-        for start, stop in chunks
-    ]
-    keys = [
-        f"{cell_key!r}:{start}"
-        for cell_key, _, _, _ in cells
-        for start, _ in chunks
-    ]
-    cell_by_key = {
-        f"{cell_key!r}:{start}": cell_key
-        for cell_key, _, _, _ in cells
-        for start, _ in chunks
-    }
-    retries = DEFAULT_CHUNK_RETRIES if chunk_retries is None else chunk_retries
-    journal = (
-        ChunkJournal.open(
-            journal_path,
-            fingerprint=_fault_fingerprint(
-                cells,
-                sampler,
-                n_trials=n_trials,
-                seed=seed,
-                lam=lam,
-                policy=policy,
-                chunk_size=size,
-            ),
-            resume=resume,
-        )
-        if journal_path is not None
-        else None
+    matrices = _run_matrix_cells(
+        [(repr(cell_key), (algo, n, rate)) for cell_key, algo, n, rate in cells],
+        chunk_bounds(n_trials, size),
+        lambda cell, start, stop: (
+            *cell, sampler, start, stop, seed, lam, policy
+        ),
+        _fault_chunk,
+        fingerprint=_fault_fingerprint(
+            cells,
+            sampler,
+            n_trials=n_trials,
+            seed=seed,
+            lam=lam,
+            policy=policy,
+            chunk_size=size,
+        ),
+        journal_path=journal_path,
+        resume=resume,
+        chunk_retries=chunk_retries,
+        n_jobs=n_jobs,
+        timeout=chunk_timeout,
     )
-    try:
-        raw = execute_chunks(
-            tasks,
-            _fault_chunk,
-            keys=keys,
-            n_jobs=n_jobs,
-            journal=journal,
-            encode=lambda result: {
-                "start": result[1],
-                "matrix": result[2].tolist(),
-            },
-            timeout=chunk_timeout,
-            retries=retries,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    raw = [
-        item
-        if not isinstance(item, dict)
-        else (
-            cell_by_key[keys[i]],
-            int(item["start"]),
-            np.asarray(item["matrix"], dtype=np.float64).reshape(
-                -1, len(FAULT_COLUMNS)
-            ),
-        )
-        for i, item in enumerate(raw)
-    ]
-
-    per_cell: Dict[Hashable, List[Tuple[int, np.ndarray]]] = {
-        cell_key: [] for cell_key, _, _, _ in cells
-    }
-    for cell_key, start, matrix in raw:
-        per_cell[cell_key].append((start, matrix))
 
     col = {name: j for j, name in enumerate(FAULT_COLUMNS)}
     records: List[FaultStudyRecord] = []
-    for cell_key, algo, n, rate in cells:
-        matrix = np.concatenate(
-            [m for _, m in sorted(per_cell[cell_key], key=lambda it: it[0])],
-            axis=0,
-        )
+    for (_, algo, n, rate), matrix in zip(cells, matrices):
         mean = matrix.sum(axis=0) / n_trials
         records.append(
             FaultStudyRecord(

@@ -19,43 +19,40 @@ resulting records are bit-identical for any worker count.
 
 Workers reduce their chunk to a :class:`~repro.core.metrics.RatioAccumulator`
 (a few floats) instead of shipping per-trial ratio arrays, so paper-scale
-sweeps never materialise every ratio array in the parent.
-
-With ``n_jobs > 1`` the parent also samples each cell's draw matrix
-*once* into a shared-memory block (:mod:`repro.experiments.shm`) and
-workers map their chunk's row-slice out of it, killing the ``O(chunks)``
-re-sampling the chunked design otherwise pays.  The block is pure
-transport: rows equal what each chunk would have sampled for itself, so
-results are bit-identical with or without it (budget exhaustion, platform
-refusal and ``n_jobs == 1`` all fall back to per-chunk sampling).
+sweeps never materialise every ratio array in the parent.  Every chunk
+samples exactly its own rows, on every backend: nothing is sampled in
+the parent.
 
 ``backend="threads"`` swaps the process pool for an in-process thread
 pool: chunk workers call the native kernels through ctypes (which
-releases the GIL), so no pickling or shared-memory publish is needed --
-each cell's matrix is sampled once in the parent and sliced by
-reference.  The chunk layout, seeds, and merge order are identical, so
-the records are bit-identical to ``backend="processes"`` and to serial,
-and journals are interchangeable between backends.
+releases the GIL), so no pickling is needed.  The chunk layout, seeds,
+and merge order are identical, so the records are bit-identical to
+``backend="processes"`` and to serial, and journals are interchangeable
+between backends.
+
+The chunk plumbing (layout, journal keys and lifecycle, the executor,
+per-cell regrouping) is one private engine, :func:`_run_chunked`, shared
+with the study and fault-study drivers; each driver keeps only its
+fingerprint, payload codec and reduction.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.bounds import bound_for
-from repro.core.metrics import RatioAccumulator, RatioSample, summarize_ratios
-from repro.experiments import shm
+from repro.core.metrics import RatioAccumulator, RatioSample
 from repro.experiments.checkpoint import ChunkJournal, execute_chunks
 from repro.experiments.config import (
     DEFAULT_CHUNK_RETRIES,
     StochasticConfig,
     normalize_backend,
 )
-from repro.experiments.stochastic import _trial_factory, trial_ratios
+from repro.experiments.stochastic import trial_ratios
 from repro.problems.samplers import AlphaSampler
 
 __all__ = [
@@ -150,33 +147,105 @@ def chunk_bounds(n_trials: int, chunk_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _run_chunk(
-    args: Tuple[
-        str, int, AlphaSampler, int, int, int, float, Any, Optional[int]
+def _run_chunked(
+    cells: Sequence[Tuple[str, Any]],
+    chunks: Sequence[Tuple[int, int]],
+    make_task: Callable[[Any, int, int], Any],
+    worker: Callable[[Any], Any],
+    *,
+    fingerprint: Dict[str, Any],
+    journal_path: Optional["str | os.PathLike[str]"],
+    resume: bool,
+    chunk_retries: Optional[int],
+    **execute: Any,
+) -> List[List[Any]]:
+    """The chunk engine behind every trial-chunked driver.
+
+    Chunk ``[start, stop)`` of each ``(label, cell)`` runs
+    ``worker(make_task(cell, start, stop))`` under the journal key
+    ``"<label>:<start>"``; ``execute`` is forwarded to
+    :func:`~repro.experiments.checkpoint.execute_chunks`.  Returns each
+    cell's chunk results in chunk-start order (a function of the cells
+    and chunks alone, so any reduction over it is bit-identical for
+    every worker count), without quarantined chunks (``strict=False``).
+    """
+    keys = [f"{label}:{start}" for label, _ in cells for start, _ in chunks]
+    tasks = [
+        make_task(cell, start, stop)
+        for _, cell in cells
+        for start, stop in chunks
     ]
+    journal = (
+        ChunkJournal.open(journal_path, fingerprint=fingerprint, resume=resume)
+        if journal_path is not None
+        else None
+    )
+    try:
+        raw = execute_chunks(
+            tasks,
+            worker,
+            keys=keys,
+            journal=journal,
+            retries=DEFAULT_CHUNK_RETRIES if chunk_retries is None else chunk_retries,
+            **execute,
+        )
+    finally:
+        if journal is not None:
+            journal.close()
+    per = len(chunks)
+    return [
+        [result for result in raw[i * per : (i + 1) * per] if result is not None]
+        for i in range(len(cells))
+    ]
+
+
+def _encode_matrix_chunk(result: Tuple[int, np.ndarray]) -> Dict[str, Any]:
+    start, matrix = result
+    # JSON float repr round-trips exactly, so the matrix payload is a
+    # bit-exact serialisation.
+    return {"start": start, "matrix": matrix.tolist()}
+
+
+def _decode_matrix_chunk(payload: Dict[str, Any]) -> Tuple[int, np.ndarray]:
+    return int(payload["start"]), np.asarray(payload["matrix"], dtype=np.float64)
+
+
+def _run_matrix_cells(
+    cells: Sequence[Tuple[str, Any]],
+    chunks: Sequence[Tuple[int, int]],
+    make_task: Callable[[Any, int, int], Any],
+    worker: Callable[[Any], Tuple[int, np.ndarray]],
+    **engine: Any,
+) -> List[np.ndarray]:
+    """:func:`_run_chunked` for workers returning ``(start, matrix)``:
+    one shared journal codec, one concatenated matrix per cell."""
+    per_cell = _run_chunked(
+        cells,
+        chunks,
+        make_task,
+        worker,
+        encode=_encode_matrix_chunk,
+        decode=_decode_matrix_chunk,
+        **engine,
+    )
+    return [
+        np.concatenate([matrix for _, matrix in parts], axis=0)
+        for parts in per_cell
+    ]
+
+
+def _run_chunk(
+    args: Tuple[str, int, AlphaSampler, int, int, int, float, Optional[int]]
 ) -> Tuple[str, int, int, RatioAccumulator]:
     """Worker: one trial chunk of one (algorithm, N) cell (picklable).
 
-    ``spec`` optionally carries the cell's draw block: a
-    :class:`~repro.experiments.shm.DrawSpec` naming a shared-memory
-    block (process backend; mapped zero-copy) or the cell's ndarray
-    itself (threads backend; sliced by reference).  Either way the
-    worker takes its ``[start:stop)`` row-slice and falls back to
-    sampling its own rows when no block is usable -- results are
-    bit-identical in all three cases.  ``n_threads`` caps the native
-    kernels' in-kernel threading (pool runs pin it to 1 so worker-level
-    and kernel-level parallelism don't multiply).  Returns the chunk's
-    summary accumulator, not its ratio array, so the parent's memory
-    stays O(cells x chunks) regardless of n_trials.
+    ``n_threads`` caps the native kernels' in-kernel threading (pool
+    runs pin it to 1 so worker-level and kernel-level parallelism don't
+    multiply).  Returns the chunk's summary accumulator, not its ratio
+    array, so the parent's memory stays O(cells x chunks) regardless of
+    n_trials.
     """
-    algorithm, n, sampler, start, stop, seed, lam, spec, n_threads = args
-    draws = None
-    if isinstance(spec, np.ndarray):
-        draws = spec[start:stop]
-    elif spec is not None:
-        cell = shm.attached_draws(spec)
-        if cell is not None:
-            draws = cell[start:stop]
+    algorithm, n, sampler, start, stop, seed, lam, n_threads = args
     ratios = trial_ratios(
         algorithm,
         n,
@@ -185,59 +254,9 @@ def _run_chunk(
         seed=seed,
         lam=lam,
         start=start,
-        draws=draws,
         n_threads=n_threads,
     )
     return algorithm, n, start, RatioAccumulator().update(ratios)
-
-
-def _publish_cell_draws(
-    cells: Sequence[Tuple[str, int]],
-    chunks: Sequence[Tuple[int, int]],
-    config: StochasticConfig,
-    completed: Dict[str, Any],
-    *,
-    inline: bool = False,
-) -> Dict[Tuple[str, int], Tuple[Any, Any]]:
-    """Sample one draw block per cell that still has work.
-
-    Only worth doing when ``n_jobs > 1``; cells whose chunks are all
-    journaled, whose matrices are empty (N = 1), or that would blow the
-    :func:`repro.experiments.shm.max_bytes` budget simply get no block
-    (their chunks sample for themselves).  With ``inline=False``
-    (process backend) each matrix is published to shared memory and the
-    value is ``(block, DrawSpec)``; with ``inline=True`` (threads
-    backend -- workers share this address space) the matrix is kept
-    as-is and the value is ``(None, ndarray)``.  Same budget, same rows,
-    so results are bit-identical across transports.
-    """
-    blocks: Dict[Tuple[str, int], Tuple[Any, Any]] = {}
-    budget = shm.max_bytes()
-    used = 0
-    for algo, n in cells:
-        cols = max(0, n - 1)
-        if cols == 0:
-            continue
-        if all(
-            f"{algo}:{n}:{start}" in completed for start, _ in chunks
-        ):
-            continue
-        nbytes = config.n_trials * cols * 8
-        if used + nbytes > budget:
-            continue
-        factory = _trial_factory(algo, n, config.seed)
-        rngs = [factory.generator_for(t) for t in range(config.n_trials)]
-        draws = config.sampler.sample_trial_matrix(rngs, cols)
-        if inline:
-            blocks[(algo, n)] = (None, draws)
-            used += nbytes
-            continue
-        published = shm.publish_draws(draws)
-        if published is None:
-            continue
-        blocks[(algo, n)] = published
-        used += nbytes
-    return blocks
 
 
 def sweep_fingerprint(config: StochasticConfig) -> Dict[str, Any]:
@@ -302,11 +321,10 @@ def run_sweep(
     """Evaluate every (algorithm, N) cell of ``config``.
 
     ``backend`` selects how parallel chunks execute when
-    ``config.n_jobs > 1``: ``"processes"`` (the default process pool
-    with shared-memory draw blocks) or ``"threads"`` (a GIL-free thread
-    pool over the native kernels -- no pickling, no shm; see
-    :data:`~repro.experiments.config.BACKENDS`).  Records are
-    bit-identical across backends and worker counts.
+    ``config.n_jobs > 1``: ``"processes"`` (the default process pool)
+    or ``"threads"`` (a GIL-free thread pool over the native kernels --
+    no pickling; see :data:`~repro.experiments.config.BACKENDS`).
+    Records are bit-identical across backends and worker counts.
 
     ``journal_path`` enables crash-safe execution: each completed trial
     chunk is durably appended to a JSONL journal, and ``resume=True``
@@ -333,96 +351,51 @@ def run_sweep(
     :func:`~repro.experiments.checkpoint.execute_chunks`).
     """
     backend = normalize_backend(backend)
-    chunks = chunk_bounds(config.n_trials, config.effective_chunk_size)
     cells = [
         (algo, n) for algo in config.algorithms for n in config.n_values
     ]
-    keys = [
-        f"{algo}:{n}:{start}"
-        for algo, n in cells
-        for start, _ in chunks
-    ]
-    retries = DEFAULT_CHUNK_RETRIES if chunk_retries is None else chunk_retries
-    journal = (
-        ChunkJournal.open(
-            journal_path, fingerprint=sweep_fingerprint(config), resume=resume
-        )
-        if journal_path is not None
-        else None
-    )
     # Pool runs pin the kernels to one thread per chunk worker (worker- and
     # kernel-level parallelism must not multiply); serial runs let the
     # kernels thread internally (REPRO_NATIVE_THREADS / auto).
     task_threads = 1 if config.n_jobs > 1 else None
-    blocks: Dict[Tuple[str, int], Tuple[Any, Any]] = {}
-    try:
-        if config.n_jobs > 1:
-            blocks = _publish_cell_draws(
-                cells,
-                chunks,
-                config,
-                journal.completed if journal is not None else {},
-                inline=backend == "threads",
-            )
-        tasks = [
-            (
-                algo,
-                n,
-                config.sampler,
-                start,
-                stop,
-                config.seed,
-                config.lam,
-                blocks[(algo, n)][1] if (algo, n) in blocks else None,
-                task_threads,
-            )
-            for algo, n in cells
-            for start, stop in chunks
-        ]
-        raw = execute_chunks(
-            tasks,
-            _run_chunk,
-            keys=keys,
-            n_jobs=config.n_jobs,
-            journal=journal,
-            encode=_encode_sweep_chunk,
-            decode=_decode_sweep_chunk,
-            timeout=chunk_timeout,
-            retries=retries,
-            backend=backend,
-            chaos=chaos,
-            report=report,
-            strict=strict,
-            rebuild_budget=rebuild_budget,
-            run_deadline=run_deadline,
-            cancel_on_sigterm=cancel_on_sigterm,
-        )
-    finally:
-        for block, _ in blocks.values():
-            if block is not None:
-                shm.release_draws(block)
-        if journal is not None:
-            journal.close()
-
-    # Reduce chunk accumulators per cell, always in chunk-start order:
-    # the merge tree is a function of the config alone, so statistics are
-    # bit-identical no matter how many workers computed the chunks.
-    per_cell: Dict[Tuple[str, int], List[Tuple[int, RatioAccumulator]]] = {
-        cell: [] for cell in cells
-    }
-    for chunk_result in raw:
-        if chunk_result is None:
-            # quarantined chunk under strict=False: its trials are absent
-            # from the cell's statistics (the report names the keys)
-            continue
-        algorithm, n, start, acc = chunk_result
-        per_cell[(algorithm, n)].append((start, acc))
+    per_cell = _run_chunked(
+        [(f"{algo}:{n}", (algo, n)) for algo, n in cells],
+        chunk_bounds(config.n_trials, config.effective_chunk_size),
+        lambda cell, start, stop: (
+            *cell,
+            config.sampler,
+            start,
+            stop,
+            config.seed,
+            config.lam,
+            task_threads,
+        ),
+        _run_chunk,
+        fingerprint=sweep_fingerprint(config),
+        journal_path=journal_path,
+        resume=resume,
+        chunk_retries=chunk_retries,
+        n_jobs=config.n_jobs,
+        encode=_encode_sweep_chunk,
+        decode=_decode_sweep_chunk,
+        timeout=chunk_timeout,
+        backend=backend,
+        chaos=chaos,
+        report=report,
+        strict=strict,
+        rebuild_budget=rebuild_budget,
+        run_deadline=run_deadline,
+        cancel_on_sigterm=cancel_on_sigterm,
+    )
 
     alpha = config.sampler.alpha
     records = []
-    for algorithm, n in cells:
+    for (algorithm, n), parts in zip(cells, per_cell):
+        # Merge chunk accumulators in chunk-start order: the merge tree
+        # is a function of the config alone, so statistics are
+        # bit-identical no matter how many workers computed the chunks.
         acc = RatioAccumulator()
-        for _, chunk_acc in sorted(per_cell[(algorithm, n)], key=lambda item: item[0]):
+        for *_, chunk_acc in parts:
             acc.merge(chunk_acc)
         records.append(
             SweepRecord(

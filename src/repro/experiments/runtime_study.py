@@ -28,11 +28,8 @@ Trial ``t`` of cell ``(algorithm, N)`` derives its generator from
 *trial-chunked* over a ``ProcessPoolExecutor``: chunk layout and merge
 order are functions of the parameters alone, so results are bit-identical
 for any ``n_jobs`` -- and identical between the two engines wherever the
-fastpath applies.  With ``n_jobs > 1`` the parent samples each cell's
-draw matrix once into a shared-memory block
-(:mod:`repro.experiments.shm`) and workers slice their chunk rows out of
-it -- a pure transport optimisation that cannot change results (the rows
-equal what each chunk would have sampled for itself).
+fastpath applies.  Each chunk samples its own rows; the chunk plumbing
+(journal, executor, regrouping) is the sweep runner's shared engine.
 """
 
 from __future__ import annotations
@@ -43,15 +40,12 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments import shm
-from repro.experiments.checkpoint import ChunkJournal, execute_chunks
 from repro.experiments.config import (
-    DEFAULT_CHUNK_RETRIES,
     DEFAULT_STUDY_CHUNK_SIZE,
     normalize_backend,
     normalize_engine,
 )
-from repro.experiments.runner import chunk_bounds
+from repro.experiments.runner import _run_matrix_cells, chunk_bounds
 from repro.experiments.stochastic import _trial_factory, normalize_algorithm
 from repro.problems.prescribed import prescribed_problem
 from repro.problems.samplers import AlphaSampler, UniformAlpha
@@ -153,7 +147,6 @@ def study_trial_metrics(
     phf_phase1: str = "central",
     config: Optional[MachineConfig] = None,
     engine: str = "fastpath",
-    draws: Optional[np.ndarray] = None,
     n_threads: Optional[int] = None,
 ) -> np.ndarray:
     """Machine metrics for trials ``start .. start + n_trials - 1``.
@@ -163,12 +156,6 @@ def study_trial_metrics(
     n_processors, t)``, so any chunking of the trial range reproduces
     the serial values exactly, and the two engines agree bit for bit on
     every cell the fastpath supports.
-
-    ``draws`` optionally supplies the trials' draw matrix (a chunk's
-    row-slice of a shared-memory block, :mod:`repro.experiments.shm`);
-    it must equal what the cell's trial factory would sample for the
-    same range.  Non-central PHF phase 1 samples lazily and cannot take
-    a prescription matrix.
 
     ``n_threads`` is forwarded to the fastpath's native kernels
     (in-kernel trial-block threading; bit-identical for every count).
@@ -182,16 +169,8 @@ def study_trial_metrics(
     n = n_processors
     alpha = sampler.alpha
     fac = _trial_factory(key, n, seed)
-    if draws is not None and key == "phf" and phf_phase1 != "central":
-        raise ValueError(
-            "draws= requires a central PHF phase 1 (other strategies "
-            "consume draws in a machine-dependent order)"
-        )
-    if draws is None:
-        rngs = [fac.generator_for(t) for t in range(start, start + n_trials)]
-        draws = sampler.sample_trial_matrix(rngs, max(1, n - 1))
-    elif draws.shape[0] != n_trials:
-        raise ValueError(f"draws has {draws.shape[0]} rows for {n_trials} trials")
+    rngs = [fac.generator_for(t) for t in range(start, start + n_trials)]
+    draws = sampler.sample_trial_matrix(rngs, max(1, n - 1))
 
     if engine == "fastpath" and fastpath_supported(key, config, phase1=phf_phase1):
         fp = fastpath_counters(
@@ -238,39 +217,25 @@ def study_trial_metrics(
     return out
 
 
-def _study_chunk(args) -> Tuple[Hashable, int, np.ndarray]:
+def _study_chunk(args) -> Tuple[int, np.ndarray]:
     """Worker: one trial chunk of one study cell (picklable).
 
-    ``spec`` optionally carries the cell's draw block, keyed by the
-    normalized algorithm and N so cells differing only in machine config
-    share one: a :class:`~repro.experiments.shm.DrawSpec` naming a
-    shared-memory block (process backend) or the ndarray itself (threads
-    backend).  Attach failure falls back to per-chunk sampling,
-    bit-identically.  ``n_threads`` caps the native kernels' in-kernel
-    threading (pool runs pin it to 1).
+    ``n_threads`` caps the native kernels' in-kernel threading (pool
+    runs pin it to 1).
     """
     (
-        cell_key,
         algorithm,
         n,
+        config,
         sampler,
         start,
         stop,
         seed,
         lam,
         phf_phase1,
-        config,
         engine,
-        spec,
         n_threads,
     ) = args
-    draws = None
-    if isinstance(spec, np.ndarray):
-        draws = spec[start:stop]
-    elif spec is not None:
-        cell = shm.attached_draws(spec)
-        if cell is not None:
-            draws = cell[start:stop]
     matrix = study_trial_metrics(
         algorithm,
         n,
@@ -282,10 +247,9 @@ def _study_chunk(args) -> Tuple[Hashable, int, np.ndarray]:
         phf_phase1=phf_phase1,
         config=config,
         engine=engine,
-        draws=draws,
         n_threads=n_threads,
     )
-    return cell_key, start, matrix
+    return start, matrix
 
 
 def study_fingerprint(
@@ -319,15 +283,6 @@ def study_fingerprint(
         "engine": engine,
         "chunk_size": chunk_size,
     }
-
-
-def _encode_study_chunk(
-    result: Tuple[Hashable, int, np.ndarray]
-) -> Dict[str, Any]:
-    cell_key, start, matrix = result
-    # JSON float repr round-trips exactly, so the matrix payload is a
-    # bit-exact serialisation.
-    return {"start": start, "matrix": matrix.tolist()}
 
 
 def run_study_cells(
@@ -371,143 +326,42 @@ def run_study_cells(
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     size = chunk_size if chunk_size is not None else DEFAULT_STUDY_CHUNK_SIZE
-    chunks = chunk_bounds(n_trials, size)
-    keys = [
-        f"{cell_key!r}:{start}"
-        for cell_key, _, _, _ in cells
-        for start, _ in chunks
-    ]
-    cell_by_journal_key = {
-        f"{cell_key!r}:{start}": (cell_key, start)
-        for cell_key, _, _, _ in cells
-        for start, _ in chunks
-    }
-    retries = DEFAULT_CHUNK_RETRIES if chunk_retries is None else chunk_retries
-    journal = (
-        ChunkJournal.open(
-            journal_path,
-            fingerprint=study_fingerprint(
-                cells,
-                sampler,
-                n_trials=n_trials,
-                seed=seed,
-                lam=lam,
-                phf_phase1=phf_phase1,
-                engine=engine,
-                chunk_size=size,
-            ),
-            resume=resume,
-        )
-        if journal_path is not None
-        else None
+    # Pool runs pin the kernels to one thread per chunk worker;
+    # serial runs let them thread internally (REPRO_NATIVE_THREADS).
+    task_threads = 1 if n_jobs > 1 else None
+    matrices = _run_matrix_cells(
+        [(repr(cell_key), (algo, n, config)) for cell_key, algo, n, config in cells],
+        chunk_bounds(n_trials, size),
+        lambda cell, start, stop: (
+            *cell,
+            sampler,
+            start,
+            stop,
+            seed,
+            lam,
+            phf_phase1,
+            engine,
+            task_threads,
+        ),
+        _study_chunk,
+        fingerprint=study_fingerprint(
+            cells,
+            sampler,
+            n_trials=n_trials,
+            seed=seed,
+            lam=lam,
+            phf_phase1=phf_phase1,
+            engine=engine,
+            chunk_size=size,
+        ),
+        journal_path=journal_path,
+        resume=resume,
+        chunk_retries=chunk_retries,
+        n_jobs=n_jobs,
+        timeout=chunk_timeout,
+        backend=backend,
     )
-    # Draw blocks are keyed by (normalized algorithm, N): the draw
-    # matrix depends on nothing else, so cells that differ only in
-    # machine config share one block.  Lazy-sampling cells (non-central
-    # PHF phase 1) get none.
-    blocks: Dict[Tuple[str, int], Any] = {}
-    try:
-        if n_jobs > 1:
-            completed = journal.completed if journal is not None else {}
-            budget = shm.max_bytes()
-            used = 0
-            for cell_key, algo, n, _config in cells:
-                akey = normalize_algorithm(algo)
-                bkey = (akey, n)
-                if bkey in blocks:
-                    continue
-                if akey == "phf" and phf_phase1 != "central":
-                    continue
-                if all(
-                    f"{cell_key!r}:{start}" in completed for start, _ in chunks
-                ):
-                    continue
-                cols = max(1, n - 1)
-                nbytes = n_trials * cols * 8
-                if used + nbytes > budget:
-                    continue
-                fac = _trial_factory(akey, n, seed)
-                rngs = [fac.generator_for(t) for t in range(n_trials)]
-                draws = sampler.sample_trial_matrix(rngs, cols)
-                if backend == "threads":
-                    # Workers share this address space: hand the matrix
-                    # over by reference instead of a shm publish.
-                    blocks[bkey] = (None, draws)
-                    used += nbytes
-                    continue
-                published = shm.publish_draws(draws)
-                if published is None:
-                    continue
-                blocks[bkey] = published
-                used += nbytes
-        # Pool runs pin the kernels to one thread per chunk worker;
-        # serial runs let them thread internally (REPRO_NATIVE_THREADS).
-        task_threads = 1 if n_jobs > 1 else None
-        tasks = [
-            (
-                cell_key,
-                algo,
-                n,
-                sampler,
-                start,
-                stop,
-                seed,
-                lam,
-                phf_phase1,
-                config,
-                engine,
-                blocks[(normalize_algorithm(algo), n)][1]
-                if (normalize_algorithm(algo), n) in blocks
-                else None,
-                task_threads,
-            )
-            for cell_key, algo, n, config in cells
-            for start, stop in chunks
-        ]
-        raw = execute_chunks(
-            tasks,
-            _study_chunk,
-            keys=keys,
-            n_jobs=n_jobs,
-            journal=journal,
-            encode=_encode_study_chunk,
-            decode=None,
-            timeout=chunk_timeout,
-            retries=retries,
-            backend=backend,
-        )
-    finally:
-        for block, _ in blocks.values():
-            if block is not None:
-                shm.release_draws(block)
-        if journal is not None:
-            journal.close()
-    # Journal payloads come back as plain dicts; rebuild the worker's
-    # (cell_key, start, matrix) triple for those entries.
-    raw = [
-        item
-        if not isinstance(item, dict)
-        else (
-            cell_by_journal_key[keys[i]][0],
-            int(item["start"]),
-            np.asarray(item["matrix"], dtype=np.float64).reshape(
-                -1, len(METRIC_COLUMNS)
-            ),
-        )
-        for i, item in enumerate(raw)
-    ]
-
-    per_cell: Dict[Hashable, List[Tuple[int, np.ndarray]]] = {
-        cell_key: [] for cell_key, _, _, _ in cells
-    }
-    for cell_key, start, matrix in raw:
-        per_cell[cell_key].append((start, matrix))
-    return {
-        cell_key: np.concatenate(
-            [m for _, m in sorted(parts, key=lambda item: item[0])], axis=0
-        )
-        for cell_key, parts in per_cell.items()
-    }
+    return {cell[0]: matrix for cell, matrix in zip(cells, matrices)}
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,11 @@
-"""Shared-memory draw-matrix blocks for the chunked runners.
+"""Shared-memory draw-matrix blocks (publish / attach / release).
 
-The sweep and study runners are *trial-chunked*: every chunk of a cell
-derives its own per-trial generators, so historically every chunk also
-re-sampled its own draw matrix from scratch -- ``O(chunks)`` redundant
-sampling per cell.  This module lets the parent sample each cell's
-``(n_trials, N-1)`` matrix **once**, publish it in a
-:class:`multiprocessing.shared_memory.SharedMemory` block, and have the
-workers map chunk row-slices out of it with zero copies.
-
-Bit-identity is free by construction: trial ``t``'s generator is a
-function of ``(seed, algorithm, N, t)`` alone, so the rows of the
-cell-wide matrix equal the rows any chunk would have sampled for itself.
-The runners therefore treat shared memory as a pure transport: whenever
-a block cannot be created (``n_jobs == 1``, zero-size matrices, the
-platform refuses, or the byte budget is exhausted) or cannot be attached
-(a worker landed on a machine state without the segment), the chunk
-falls back to sampling its own rows, and the results are identical
-either way.
+Nothing in the package calls these helpers: every chunk of the chunked
+runners samples its own rows, which measured faster and far smaller
+than publishing each cell's draw matrix from the parent.  The module
+stays, with lint rule R010 and its unit tests, because the benchmark's
+tracer (``perfbench/spans.py``) still imports it; it is deleted once
+that import is dropped.
 
 This module is the **only** place in the repository allowed to touch
 ``multiprocessing.shared_memory`` (lint rule R010 enforces this): the
@@ -43,23 +32,15 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "DEFAULT_MAX_BYTES",
     "DrawSpec",
     "attached_draws",
-    "max_bytes",
     "publish_draws",
     "release_draws",
 ]
 
 #: ``(segment name, rows, cols)`` -- everything a worker needs to map a
-#: published float64 draw matrix.  Picklable (travels in chunk tasks).
+#: published float64 draw matrix.  Picklable.
 DrawSpec = Tuple[str, int, int]
-
-#: Default ceiling on the *total* bytes of simultaneously published
-#: blocks per run (override with ``REPRO_SHM_MAX_BYTES``).  Cells whose
-#: matrix would exceed the remaining budget fall back to per-chunk
-#: sampling rather than exhausting ``/dev/shm``.
-DEFAULT_MAX_BYTES = 1 << 30
 
 _counter = itertools.count()
 
@@ -67,18 +48,6 @@ _counter = itertools.count()
 #: array is listed first so the mapping it borrows outlives any view
 #: handed out; entries live until :func:`_detach_all` at exit.
 _ATTACHED: Dict[str, Tuple[np.ndarray, shared_memory.SharedMemory]] = {}
-
-
-def max_bytes() -> int:
-    """Per-run shared-memory byte budget (env: ``REPRO_SHM_MAX_BYTES``)."""
-    raw = os.environ.get("REPRO_SHM_MAX_BYTES")
-    if raw is None:
-        return DEFAULT_MAX_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_BYTES
-    return max(0, value)
 
 
 def publish_draws(

@@ -439,30 +439,48 @@ def _direct_submissions(
         yield node, node.args[0], list(node.args[1:])
 
 
+def _parameter_owner(
+    project: ProjectContext, module: ModuleInfo, node: ast.AST, expr: ast.expr
+) -> Optional[Tuple[FunctionInfo, str]]:
+    """``(fn, param)`` when ``expr`` names a parameter of a function
+    lexically enclosing ``node`` (a closure forwarding its outer
+    function's parameter counts)."""
+    if not isinstance(expr, ast.Name):
+        return None
+    fn = project.enclosing_function(module, node, binding=expr.id)
+    return None if fn is None else (fn, expr.id)
+
+
 def _pool_submissions(
     project: ProjectContext,
 ) -> Iterator[Tuple[ModuleInfo, ast.Call, ast.expr, List[ast.expr]]]:
-    """All pool submissions, including one level of broker indirection.
+    """All pool submissions, following broker forwarding to a fixpoint.
 
     A *broker* is a project function that forwards one of its own
     parameters to ``pool.submit``/``.map`` (the repo's
     ``execute_chunks`` is the canonical example); a call site passing a
-    function to that parameter is a submission of that function.
+    function to that parameter is a submission of that function.  A
+    function passing its own parameter on to a broker is a broker too,
+    so ``run_sweep -> _run_chunked -> execute_chunks`` reaches the
+    real payload.
     """
-    brokers: List[Tuple[FunctionInfo, str]] = []
+    brokers: List[Optional[Tuple[FunctionInfo, str]]] = []
     for module in project.modules.values():
         for call, payload, args in _direct_submissions(module):
             yield module, call, payload, args
-            if isinstance(payload, ast.Name):
-                fn = project.enclosing_function(module, call)
-                if fn is not None and payload.id in (*fn.params, *fn.kwonly):
-                    brokers.append((fn, payload.id))
-    for fn, param in brokers:
+            brokers.append(_parameter_owner(project, module, call, payload))
+    for broker in brokers:  # grows while iterating: the fixpoint
+        if broker is None:
+            continue
+        fn, param = broker
         for site in project.call_sites.get(fn.qualname, ()):  # resolved calls
             arg = site.bound_arg(fn, param)
             if arg is None:
                 continue
             yield site.module, site.node, arg, []
+            forwarder = _parameter_owner(project, site.module, site.node, arg)
+            if forwarder not in brokers:
+                brokers.append(forwarder)
 
 
 def _generator_exprs(

@@ -206,13 +206,16 @@ class ProjectContext:
         return self.functions.get(f"{module.name}.{dotted}")
 
     def enclosing_function(
-        self, module: ModuleInfo, node: ast.AST
+        self, module: ModuleInfo, node: ast.AST, binding: Optional[str] = None
     ) -> Optional[FunctionInfo]:
-        """Innermost project function whose body contains ``node``."""
+        """Innermost project function whose body contains ``node`` (and,
+        with ``binding``, that has a parameter of that name)."""
         best: Optional[FunctionInfo] = None
         best_span = None
         for info in self.functions.values():
             if info.module is not module:
+                continue
+            if binding is not None and binding not in (*info.params, *info.kwonly):
                 continue
             fn = info.node
             start = getattr(fn, "lineno", None)

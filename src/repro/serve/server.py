@@ -59,6 +59,14 @@ _REASONS = {
 MAX_BODY_BYTES = 1 << 20
 
 
+class _MalformedRequest(Exception):
+    """The request cannot be framed: answer 400 and close the connection."""
+
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(message)
+        self.path = path
+
+
 @dataclass
 class ServeConfig:
     """Everything a :class:`PartitionServer` needs, in one place."""
@@ -181,7 +189,20 @@ class PartitionServer:
             task.add_done_callback(self._conn_tasks.discard)
         try:
             while True:
-                parsed = await self._read_request(reader)
+                try:
+                    parsed = await self._read_request(reader)
+                except _MalformedRequest as exc:
+                    # The body's extent is unknown, so the stream cannot
+                    # be resynchronised: answer, count, and hang up.
+                    # Only partition requests are counted, as in
+                    # _handle_partition.
+                    if exc.path == "/v1/partition":
+                        self.report.received += 1
+                        self.report.invalid += 1
+                    await self._respond(
+                        writer, 400, {"error": str(exc)}, {"Connection": "close"}
+                    )
+                    break
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
@@ -221,7 +242,17 @@ class PartitionServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        # The length cap also keeps int() clear of its digit limit.
+        if not (
+            raw_length.isascii()
+            and raw_length.isdigit()
+            and len(raw_length) <= len(str(MAX_BODY_BYTES))
+        ):
+            raise _MalformedRequest(
+                path, f"invalid Content-Length {raw_length[:32]!r}"
+            )
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise asyncio.IncompleteReadError(b"", length)
         body = await reader.readexactly(length) if length else b""

@@ -469,3 +469,72 @@ class TestFaultStudyResume:
         assert [r.as_dict() for r in resumed.records] == [
             r.as_dict() for r in plain.records
         ]
+
+
+class TestJournalBytesPinned:
+    """Each driver's journal is pinned byte for byte.
+
+    The hashes were recorded from the drivers before they shared one
+    chunk engine; a match proves that fingerprints, chunk keys and
+    payload encodings are unchanged, so old journals still resume.
+    """
+
+    @staticmethod
+    def sha256(path):
+        import hashlib
+
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_sweep_journal_bytes(self, tmp_path):
+        from repro.problems.samplers import UniformAlpha
+
+        journal = tmp_path / "sweep.jsonl"
+        config = StochasticConfig(
+            sampler=UniformAlpha(0.1, 0.5),
+            n_trials=24,
+            n_values=(8, 16),
+            algorithms=("hf", "ba", "bahf"),
+            seed=9,
+            chunk_size=8,
+            n_jobs=1,
+        )
+        run_sweep(config, journal_path=journal)
+        assert self.sha256(journal) == (
+            "e55bbb8e2d52f8e8e0b8e72c60ef8bb8f67580979075622fa46ff7e247dac389"
+        )
+
+    def test_study_journal_bytes(self, tmp_path):
+        from repro.experiments.runtime_study import run_study_cells
+        from repro.problems.samplers import UniformAlpha
+
+        journal = tmp_path / "study.jsonl"
+        run_study_cells(
+            [(("hf", 8), "hf", 8, None), (("phf", 8), "phf", 8, None)],
+            UniformAlpha(0.1, 0.5),
+            n_trials=6,
+            seed=9,
+            chunk_size=4,
+            n_jobs=1,
+            journal_path=journal,
+        )
+        assert self.sha256(journal) == (
+            "6b0240485e12fae0720e64f99455e6eb6cdb6d07a397d924e65c18e6926b243d"
+        )
+
+    def test_fault_study_journal_bytes(self, tmp_path):
+        from repro.experiments.fault_study import run_fault_study
+
+        journal = tmp_path / "fault.jsonl"
+        run_fault_study(
+            algorithms=("ba",),
+            n_values=(8,),
+            fault_rates=(0.0, 0.1),
+            n_trials=4,
+            seed=9,
+            chunk_size=2,
+            n_jobs=1,
+            journal_path=journal,
+        )
+        assert self.sha256(journal) == (
+            "e1bc50c6e4e39963dfb2425dbdc5ceb3179bcbd48b8a90860da4c008f651ae95"
+        )

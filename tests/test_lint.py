@@ -8,6 +8,7 @@ strict-vs-relaxed path scoping, pyproject config loading, the CLI exit
 codes -- and the repo-wide self-check that gates the tree.
 """
 
+import ast
 import json
 import time
 from pathlib import Path
@@ -555,6 +556,68 @@ class TestR104PoolPayloadPurity:
         findings = [f for f in project_findings(files) if f.rule == "R104"]
         assert [f.path for f in findings] == ["src/pkg/study.py"]
         assert [f.line for f in findings] == [4]
+
+    def test_forwarding_chain_is_followed_to_a_fixpoint(self):
+        # run -> middle(worker) -> execute(worker) -> nested closure ->
+        # pool.submit(worker): every forwarder is a broker
+        files = {
+            "src/pkg/broker.py": (
+                "from concurrent.futures import ProcessPoolExecutor\n"
+                "def execute(tasks, worker):\n"
+                "    with ProcessPoolExecutor() as pool:\n"
+                "        def submit(t):\n"
+                "            return pool.submit(worker, t)\n"
+                "        return [submit(t).result() for t in tasks]\n"
+                "def middle(tasks, worker):\n"
+                "    return execute(tasks, worker)\n"
+            ),
+            "src/pkg/study.py": (
+                "import time\n"
+                "from pkg.broker import middle\n"
+                "def impure_chunk(task):\n"
+                "    return time.time() + task\n"
+                "def run(tasks):\n"
+                "    return middle(tasks, impure_chunk)\n"
+            ),
+        }
+        findings = [f for f in project_findings(files) if f.rule == "R104"]
+        assert [(f.path, f.line) for f in findings] == [("src/pkg/study.py", 4)]
+
+    @pytest.mark.parametrize(
+        "path, worker",
+        [
+            ("src/repro/experiments/runner.py", "_run_chunk"),
+            ("src/repro/experiments/runtime_study.py", "_study_chunk"),
+            ("src/repro/experiments/fault_study.py", "_fault_chunk"),
+        ],
+    )
+    def test_real_chunk_workers_are_walked(self, path, worker):
+        # plant a module-global write one call below each real chunk
+        # worker of the src/ tree: R104 must reach it through the
+        # driver -> chunk engine -> execute_chunks forwarding chain
+        sources = {
+            str(p.relative_to(REPO_ROOT)): p.read_text()
+            for p in (REPO_ROOT / "src").rglob("*.py")
+        }
+        lines = sources[path].splitlines()
+        tree = ast.parse(sources[path])
+        fn = next(
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == worker
+        )
+        first = fn.body[1] if ast.get_docstring(fn) else fn.body[0]
+        indent = " " * first.col_offset
+        lines.insert(first.lineno - 1, f"{indent}_planted_helper()")
+        lines += ["_PLANTED = {}", "def _planted_helper():", "    _PLANTED['hit'] = 1"]
+        sources[path] = "\n".join(lines) + "\n"
+        findings = [
+            f
+            for f in lint_project(build_project(sources, {}), STRICT)
+            if f.rule == "R104"
+        ]
+        assert [(f.path, f.line) for f in findings] == [(path, len(lines))]
+        assert f"pool payload `{worker}`" in findings[0].message
 
     def test_module_global_write_fires(self):
         files = {

@@ -576,6 +576,45 @@ class TestServerRoutes:
         assert report.accounted and report.drained
         assert report.completed == 1 and report.invalid == 2
 
+    @staticmethod
+    def _send_raw(path, length):
+        async def scenario():
+            server, host, port, drain_task = await start_server(window_s=0.0)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                (
+                    f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+                    f"Content-Length: {length}\r\n\r\n{{}}"
+                ).encode("latin-1")
+            )
+            await writer.drain()
+            # read() returns only once the server has closed the socket
+            raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            await stop_server(server, drain_task)
+            return server, raw
+
+        server, raw = asyncio.run(scenario())
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert "Content-Length" in json.loads(payload)["error"]
+        assert server.report.accounted and server.report.drained
+        return server.report
+
+    @pytest.mark.parametrize(
+        "length",
+        ["abc", "-5", "9" * 5000],
+        ids=["letters", "negative", "too-many-digits"],
+    )
+    def test_malformed_content_length_is_a_400(self, length):
+        report = self._send_raw("/v1/partition", length)
+        assert report.invalid == 1 and report.received == 1
+
+    def test_malformed_framing_off_the_partition_route_is_not_counted(self):
+        # received/invalid count partition requests only
+        report = self._send_raw("/healthz", "abc")
+        assert report.invalid == 0 and report.received == 0
+
     def test_admission_sheds_with_retry_after(self):
         async def scenario():
             # one slot, and a window long enough that the second request

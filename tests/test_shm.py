@@ -1,11 +1,10 @@
-"""Shared-memory draw transport: round trips, budgets, leak hygiene.
+"""Shared-memory helpers, the ``draws=`` argument, and leak hygiene.
 
-The :mod:`repro.experiments.shm` helpers are a pure transport -- the
-runners must produce bit-identical results with or without them -- so
-these tests pin the helper contract directly (publish/attach/release
-round trips, the byte budget, failure fallbacks) and then check the
-system property that matters operationally: no ``repro_draws_*``
-segments survive a sweep or study run.
+The runners no longer publish draw blocks, but the
+:mod:`repro.experiments.shm` helpers remain until their last importer
+goes, so these tests pin the helper contract directly
+(publish/attach/release round trips, failure fallbacks) and check that
+no ``repro_draws_*`` segments survive a parallel sweep.
 """
 
 import glob
@@ -71,24 +70,6 @@ class TestRoundTrip:
         shm.release_draws(block)  # must not raise
 
 
-class TestBudget:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM_MAX_BYTES", raising=False)
-        assert shm.max_bytes() == shm.DEFAULT_MAX_BYTES
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MAX_BYTES", "4096")
-        assert shm.max_bytes() == 4096
-
-    def test_bad_value_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MAX_BYTES", "lots")
-        assert shm.max_bytes() == shm.DEFAULT_MAX_BYTES
-
-    def test_negative_clamped_to_zero(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MAX_BYTES", "-1")
-        assert shm.max_bytes() == 0
-
-
 class TestDrawsArgument:
     def test_trial_ratios_rejects_scalar_path(self):
         draws = np.full((4, 7), 0.4)
@@ -104,18 +85,6 @@ class TestDrawsArgument:
             trial_ratios(
                 "hf", 8, UniformAlpha(0.1, 0.5), n_trials=4, seed=1,
                 use_batch=True, draws=draws,
-            )
-
-    def test_study_rejects_non_central_phf(self):
-        from repro.experiments.runtime_study import study_trial_metrics
-        from repro.simulator import MachineConfig
-
-        draws = np.full((2, 7), 0.4)
-        with pytest.raises(ValueError, match="central"):
-            study_trial_metrics(
-                "phf", 8, UniformAlpha(0.1, 0.5), config=MachineConfig(),
-                n_trials=2, seed=1, phf_phase1="ba_prime", engine="des",
-                draws=draws,
             )
 
 
@@ -139,32 +108,3 @@ class TestNoLeaks:
         serial = run_sweep(StochasticConfig(**self.BASE, n_jobs=1))
         parallel = run_sweep(StochasticConfig(**self.BASE, n_jobs=2))
         assert serial.records == parallel.records
-
-    def test_failed_run_still_releases_segments(self, monkeypatch):
-        # A run that dies mid-flight (worker crash surfacing as an
-        # exception from the chunk executor) must not leak segments.
-        import repro.experiments.runner as runner_mod
-
-        live = {}
-
-        def boom(tasks, worker, **kwargs):
-            live["segments"] = set(_segments())
-            raise RuntimeError("worker crashed")
-
-        monkeypatch.setattr(runner_mod, "execute_chunks", boom)
-        before = set(_segments())
-        with pytest.raises(RuntimeError, match="worker crashed"):
-            run_sweep(StochasticConfig(**self.BASE, n_jobs=2))
-        # Blocks were live when the executor was entered...
-        assert len(live["segments"] - before) == 4  # 2 algorithms x 2 N
-        # ...and all gone after the failure propagated.
-        assert set(_segments()) <= before
-
-    def test_zero_budget_disables_shm_but_not_results(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MAX_BYTES", "0")
-        before = set(_segments())
-        gated = run_sweep(StochasticConfig(**self.BASE, n_jobs=2))
-        assert set(_segments()) == before
-        monkeypatch.delenv("REPRO_SHM_MAX_BYTES")
-        open_budget = run_sweep(StochasticConfig(**self.BASE, n_jobs=2))
-        assert gated.records == open_budget.records
