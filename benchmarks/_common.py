@@ -66,7 +66,7 @@ def machine_meta() -> dict:
         "numpy": np.__version__,
         "native_kernels": native_available(),
         # Threading context of the measurement: the compiled-in threading
-        # backend ("pthread"/"openmp"/"serial", None without native
+        # backend ("pthread"/"serial", None without native
         # kernels) and the effective in-kernel thread count
         # (REPRO_NATIVE_THREADS or auto-detected cores).  bench_compare
         # warns -- rather than reporting a regression -- when these

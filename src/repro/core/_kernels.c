@@ -27,7 +27,7 @@
  * writes only its own output row / metric slots, so any thread count
  * computes bit-identical results by construction -- threading never
  * changes which float operations run for a trial, only which thread
- * runs them.  Two backends are selected at compile time by _native.py:
+ * runs them.  _native.py compiles with
  *
  *   -DREPRO_THREADS_PTHREAD (-pthread)  -- spawn-and-join pthreads per
  *       call.  Deliberately NOT a persistent pool: the experiment
@@ -36,11 +36,10 @@
  *       would inherit locked mutexes and dead threads.  Per-call spawn
  *       keeps the library fork-safe and costs microseconds against
  *       kernel calls that run for milliseconds.
- *   -DREPRO_THREADS_OPENMP (-fopenmp)   -- optional OpenMP path (probed
- *       at build time); same contiguous block decomposition.
  *
- * With neither define the block runner degrades to one inline call
- * (serial), so the source always compiles with a bare C99 toolchain.
+ * and, only if that build fails, without it: the block runner then
+ * degrades to one inline call (serial), so the source always compiles
+ * with a bare C99 toolchain.
  */
 
 #include <math.h>
@@ -49,9 +48,6 @@
 #if defined(REPRO_THREADS_PTHREAD)
 #include <pthread.h>
 #define REPRO_THREAD_BACKEND 1
-#elif defined(REPRO_THREADS_OPENMP)
-#include <omp.h>
-#define REPRO_THREAD_BACKEND 2
 #else
 #define REPRO_THREAD_BACKEND 0
 #endif
@@ -61,8 +57,8 @@
 #define REPRO_MAX_THREADS 128
 
 /* Which threading backend this library was compiled with: 0 = serial,
- * 1 = pthread, 2 = OpenMP.  The Python side reports this as the
- * threading mode and records it in benchmark artifacts. */
+ * 1 = pthread.  The Python side reports this as the threading mode and
+ * records it in benchmark artifacts. */
 int repro_threading_backend(void)
 {
     return REPRO_THREAD_BACKEND;
@@ -143,13 +139,6 @@ static int for_each_trial_block(void (*fn)(void *, long, long, int *),
             run_trial_block(&blocks[b]);
         for (b = 0; b < spawned; ++b)
             pthread_join(tids[b], NULL);
-    }
-#elif REPRO_THREAD_BACKEND == 2
-    {
-        int i;
-#pragma omp parallel for num_threads((int)nb) schedule(static)
-        for (i = 0; i < (int)nb; ++i)
-            run_trial_block(&blocks[i]);
     }
 #endif
     for (b = 0; b < nb; ++b) {

@@ -20,22 +20,20 @@ Everything here degrades gracefully: if there is no compiler, the build
 fails, or ``REPRO_NO_NATIVE`` is set in the environment, callers get
 ``None``/``False`` and fall back to the pure-NumPy kernels.  The shared
 object is cached under the system temp directory, keyed by a hash of the
-source text, *the compiler version* and the threading mode, so it
-compiles once per machine and toolchain, not once per process; one-line
-logs record whether the compile was skipped (cache hit), performed, or
-failed, and which threading mode was chosen.
+source text, the platform and *the compiler version*, so it compiles
+once per machine and toolchain, not once per process; one-line logs
+record whether the compile was skipped (cache hit), performed, or
+failed.  A warm cache costs one ``<compiler> --version`` per process.
 
-Threading: at build time the compiler is probed once (and the result
-memoized) for ``-pthread`` and ``-fopenmp`` support; the first mode that
-links is compiled in (pthread preferred -- its per-call spawn-and-join
-has no persistent state and is therefore fork-safe under the process
-pool, unlike OpenMP's cached thread teams) and the kernels shard their
-trial range into contiguous blocks, one per thread.  Blocks write
-disjoint output rows, so results are bit-identical for every thread
-count.  ``REPRO_NATIVE_THREAD_MODE`` forces a mode (``pthread`` /
-``openmp`` / ``serial``); ``REPRO_NATIVE_THREADS`` sets the default
-thread count (``auto``/``0``/unset means :func:`os.cpu_count`), and
-every wrapper takes an explicit ``n_threads`` override.
+Threading: the library is compiled with ``-pthread`` and the kernels
+shard their trial range into contiguous blocks, one spawn-and-join
+thread per block.  If that compile fails, the source is compiled once
+more as plain C99 and every call runs inline (serial);
+:func:`native_threading_mode` reports which build was loaded.  Blocks
+write disjoint output rows, so results are bit-identical for every
+thread count.  ``REPRO_NATIVE_THREADS`` sets the default thread count
+(``auto``/``0``/unset means :func:`os.cpu_count`), and every wrapper
+takes an explicit ``n_threads`` override.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -74,41 +72,9 @@ _lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
 
-_compiler_version_cache: Dict[str, str] = {}
-
-# Threading modes in probe-preference order, and the extra compile flags
-# each one needs.  pthread before OpenMP: both scale identically here,
-# but libgomp keeps its thread team alive between calls, which does not
-# survive fork() into ProcessPoolExecutor workers; the pthread path
-# spawns and joins per call and is fork-safe by construction.
-_THREAD_MODE_FLAGS: Dict[str, Tuple[str, ...]] = {
-    "pthread": ("-pthread", "-DREPRO_THREADS_PTHREAD"),
-    "openmp": ("-fopenmp", "-DREPRO_THREADS_OPENMP"),
-    "serial": (),
-}
-_THREAD_BACKEND_NAMES = {0: "serial", 1: "pthread", 2: "openmp"}
-
-_thread_probe_cache: Dict[Tuple[str, str], bool] = {}
-_thread_mode_cache: Dict[str, str] = {}
-
-# Minimal translation units used to probe whether a threading flag both
-# compiles and links on this toolchain.
-_PROBE_SOURCES = {
-    "pthread": (
-        "#include <pthread.h>\n"
-        "static void *probe_main(void *arg) { return arg; }\n"
-        "int probe(void) { pthread_t t;\n"
-        "    if (pthread_create(&t, 0, probe_main, 0)) return 1;\n"
-        "    return pthread_join(t, 0); }\n"
-    ),
-    "openmp": (
-        "#include <omp.h>\n"
-        "int probe(void) { int s = 0; int i;\n"
-        "#pragma omp parallel for reduction(+:s)\n"
-        "    for (i = 0; i < 4; ++i) s += i;\n"
-        "    return s; }\n"
-    ),
-}
+# Extra compile flags for the threaded build; the serial fallback uses none.
+_PTHREAD_FLAGS = ("-pthread", "-DREPRO_THREADS_PTHREAD")
+_THREAD_BACKEND_NAMES = {0: "serial", 1: "pthread"}
 
 
 def _disabled() -> bool:
@@ -124,10 +90,7 @@ def _find_compiler() -> Optional[str]:
 
 
 def _compiler_version(compiler: str) -> str:
-    """First line of ``<compiler> --version`` (memoized, '' on failure)."""
-    cached = _compiler_version_cache.get(compiler)
-    if cached is not None:
-        return cached
+    """First line of ``<compiler> --version`` ('' on failure)."""
     try:
         proc = subprocess.run(
             [compiler, "--version"],
@@ -135,83 +98,15 @@ def _compiler_version(compiler: str) -> str:
             timeout=30,
             check=False,
         )
-        version = proc.stdout.decode("utf-8", "replace").splitlines()[0]
+        return proc.stdout.decode("utf-8", "replace").splitlines()[0]
     except Exception:
-        version = ""
-    # Memoization of an immutable toolchain fact; per-process and
-    # value-deterministic, so pool payloads reaching this stay pure.
-    _compiler_version_cache[compiler] = version  # repro-lint: disable=R104
-    return version
+        return ""
 
 
-def _probe_thread_flag(compiler: str, mode: str) -> bool:
-    """True when ``mode``'s flag compiles AND links (memoized)."""
-    key = (compiler, mode)
-    cached = _thread_probe_cache.get(key)
-    if cached is not None:
-        return cached
-    flags = _THREAD_MODE_FLAGS[mode]
-    ok = False
-    tmp_dir = tempfile.mkdtemp(prefix="repro-thread-probe-")
-    try:
-        src_path = os.path.join(tmp_dir, "probe.c")
-        with open(src_path, "w", encoding="utf-8") as fh:
-            fh.write(_PROBE_SOURCES[mode])
-        proc = subprocess.run(
-            [compiler, *flags, "-shared", "-fPIC", "-o",
-             os.path.join(tmp_dir, "probe.so"), src_path],
-            capture_output=True,
-            timeout=60,
-            check=False,
-        )
-        ok = proc.returncode == 0
-    except Exception:
-        ok = False
-    finally:
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-    # Memoized toolchain fact, same rationale as _compiler_version.
-    _thread_probe_cache[key] = ok  # repro-lint: disable=R104
-    return ok
-
-
-def _threading_mode(compiler: str) -> str:
-    """Pick the threading mode to compile in (memoized per compiler).
-
-    ``REPRO_NATIVE_THREAD_MODE`` forces a mode (still probed, falling
-    back to serial when the flag does not link); otherwise the first of
-    pthread, openmp that probes clean wins, else serial.  Logs the
-    chosen mode once.
-    """
-    cached = _thread_mode_cache.get(compiler)
-    if cached is not None:
-        return cached
-    forced = os.environ.get("REPRO_NATIVE_THREAD_MODE", "").strip().lower()
-    if forced and forced not in _THREAD_MODE_FLAGS:
-        _logger.warning(
-            "ignoring unknown REPRO_NATIVE_THREAD_MODE=%r "
-            "(expected pthread/openmp/serial)", forced
-        )
-        forced = ""
-    candidates = (forced,) if forced else ("pthread", "openmp")
-    mode = "serial"
-    for candidate in candidates:
-        if candidate == "serial" or _probe_thread_flag(compiler, candidate):
-            mode = candidate
-            break
-    flags = " ".join(_THREAD_MODE_FLAGS[mode]) or "none"
-    _logger.info("native kernels threading mode: %s (flags: %s)", mode, flags)
-    # Memoized toolchain fact, same rationale as _compiler_version.
-    _thread_mode_cache[compiler] = mode  # repro-lint: disable=R104
-    return mode
-
-
-def _cache_dir(source: bytes, compiler_version: str, thread_mode: str) -> str:
+def _cache_dir(source: bytes, compiler_version: str) -> str:
     uid = getattr(os, "getuid", lambda: 0)()
     digest = hashlib.sha256(
-        source
-        + sys.platform.encode()
-        + compiler_version.encode()
-        + thread_mode.encode()
+        source + sys.platform.encode() + compiler_version.encode()
     ).hexdigest()[:16]
     return os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}-{digest}")
 
@@ -278,6 +173,38 @@ def _declare(lib: ctypes.CDLL) -> None:
     ]
 
 
+def _compile(compiler: str, flags: Tuple[str, ...], lib_path: str) -> None:
+    """Compile :file:`_kernels.c` with ``flags`` into ``lib_path`` atomically."""
+    fd, tmp_path = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(lib_path))
+    os.close(fd)
+    try:
+        # -O2 with contraction off: -ffast-math or FMA contraction
+        # would break bit-exactness vs the scalar path (see the
+        # contract in _kernels.c).
+        subprocess.run(
+            [
+                compiler,
+                "-O2",
+                "-std=c99",
+                "-ffp-contract=off",
+                *flags,
+                "-shared",
+                "-fPIC",
+                "-o",
+                tmp_path,
+                _SOURCE_PATH,
+                "-lm",
+            ],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        os.replace(tmp_path, lib_path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+
+
 def _build() -> Optional[ctypes.CDLL]:
     """Compile (if needed), load, and type-check the shared library."""
     with open(_SOURCE_PATH, "rb") as fh:
@@ -286,42 +213,18 @@ def _build() -> Optional[ctypes.CDLL]:
     if compiler is None:
         _logger.warning("native kernels disabled: no system C compiler found")
         return None
-    thread_mode = _threading_mode(compiler)
-    cache_dir = _cache_dir(source, _compiler_version(compiler), thread_mode)
+    cache_dir = _cache_dir(source, _compiler_version(compiler))
     lib_path = os.path.join(cache_dir, _LIB_BASENAME)
     if os.path.exists(lib_path):
         _logger.debug("native kernel compile skipped: cache hit at %s", lib_path)
     else:
         os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-        os.close(fd)
         try:
-            # -O2 with contraction off: -ffast-math or FMA contraction
-            # would break bit-exactness vs the scalar path (see the
-            # contract in _kernels.c).
-            subprocess.run(
-                [
-                    compiler,
-                    "-O2",
-                    "-std=c99",
-                    "-ffp-contract=off",
-                    *_THREAD_MODE_FLAGS[thread_mode],
-                    "-shared",
-                    "-fPIC",
-                    "-o",
-                    tmp_path,
-                    _SOURCE_PATH,
-                    "-lm",
-                ],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            os.replace(tmp_path, lib_path)
-            _logger.info("native kernels compiled with %s -> %s", compiler, lib_path)
-        finally:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
+            _compile(compiler, _PTHREAD_FLAGS, lib_path)
+        except subprocess.CalledProcessError:
+            _logger.info("native kernels: -pthread build failed, building serial")
+            _compile(compiler, (), lib_path)
+        _logger.info("native kernels compiled with %s -> %s", compiler, lib_path)
     lib = ctypes.CDLL(lib_path)
     _declare(lib)
     return lib
@@ -355,9 +258,9 @@ def native_available() -> bool:
 def native_threading_mode() -> Optional[str]:
     """Threading mode compiled into the loaded library, or ``None``.
 
-    One of ``"pthread"``, ``"openmp"``, ``"serial"`` (the library
-    reports what it was actually built with, not what was requested);
-    ``None`` when the native kernels are unavailable.
+    ``"pthread"`` or ``"serial"`` (the library reports what it was
+    actually built with); ``None`` when the native kernels are
+    unavailable.
     """
     lib = _load()
     if lib is None:

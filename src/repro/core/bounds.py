@@ -45,6 +45,7 @@ __all__ = [
     "phf_phase2_max_iterations",
     "phf_phase1_max_depth",
     "bound_for",
+    "normalize_algorithm",
 ]
 
 
@@ -167,18 +168,24 @@ def phf_phase1_max_depth(alpha: float, n: int) -> int:
     return math.ceil(math.log(n) / math.log(1.0 / (1.0 - alpha)))
 
 
+def normalize_algorithm(algorithm: str) -> str:
+    """Canonical key for an algorithm name ("BA-HF" -> "bahf", ...)."""
+    key = algorithm.lower().replace("-", "").replace("_", "")
+    if key not in ("hf", "phf", "ba", "bahf"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return key
+
+
 def bound_for(algorithm: str, alpha: float, n: int, lam: float = 1.0) -> float:
     """Dispatch the ratio bound by algorithm name ("hf"/"phf"/"ba"/"bahf")."""
-    key = algorithm.lower().replace("-", "").replace("_", "")
+    key = normalize_algorithm(algorithm)
     if key == "hf":
         return hf_bound(alpha, n)
     if key == "phf":
         return phf_bound(alpha, n)
     if key == "ba":
         return ba_bound(alpha, n)
-    if key == "bahf":
-        return bahf_bound(alpha, n, lam)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return bahf_bound(alpha, n, lam)
 
 
 def _check_n(n: int) -> None:

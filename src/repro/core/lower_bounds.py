@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.ba import ba_final_weights
 from repro.core.bahf import bahf_final_weights
-from repro.core.bounds import bound_for
+from repro.core.bounds import bound_for, normalize_algorithm
 from repro.core.hf import hf_final_weights
 from repro.core.problem import check_alpha
 
@@ -86,17 +86,15 @@ class WorstCaseReport:
 
 
 def _run(algorithm: str, alpha: float, n: int, draws: np.ndarray, lam: float) -> float:
-    key = algorithm.lower().replace("-", "").replace("_", "")
+    key = normalize_algorithm(algorithm)
     if key in ("hf", "phf"):
         weights = hf_final_weights(1.0, n, draws)
     elif key == "ba":
         it = iter(draws.tolist())
         weights = ba_final_weights(1.0, n, lambda: next(it))
-    elif key == "bahf":
+    else:
         it = iter(draws.tolist())
         weights = bahf_final_weights(1.0, n, lambda: next(it), alpha=alpha, lam=lam)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     return float(weights.max() * n)
 
 

@@ -26,6 +26,7 @@ from repro.core.batch import (
     bahf_final_weights_batch,
     hf_final_weights_batch,
 )
+from repro.core.bounds import normalize_algorithm
 from repro.core.hf import hf_final_weights
 from repro.core.metrics import RatioSample, summarize_ratios
 from repro.problems.samplers import AlphaSampler
@@ -100,14 +101,6 @@ class DrawStream:
         return out
 
 
-def normalize_algorithm(algorithm: str) -> str:
-    """Canonical key for an algorithm name ("BA-HF" -> "bahf", ...)."""
-    key = algorithm.lower().replace("-", "").replace("_", "")
-    if key not in ("hf", "phf", "ba", "bahf"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return key
-
-
 def trial_ratio(
     algorithm: str,
     n_processors: int,
@@ -161,7 +154,6 @@ def trial_ratios(
     lam: float = 1.0,
     start: int = 0,
     use_batch: bool = True,
-    draws: Optional[np.ndarray] = None,
     n_threads: Optional[int] = None,
 ) -> np.ndarray:
     """Trial ratios for trials ``start .. start + n_trials - 1``.
@@ -178,12 +170,6 @@ def trial_ratios(
     ``use_batch=False`` keeps the scalar per-trial path, retained as the
     reference implementation for equivalence tests.
 
-    ``draws`` optionally supplies the ``(n_trials, >= N-1)`` draw matrix
-    for exactly these trials; it must equal what
-    ``sampler.sample_trial_matrix`` would produce for the same trial
-    range, which holds whenever it was derived from the same ``(seed,
-    algorithm, n_processors)`` factory.  Batch-only.
-
     ``n_threads`` is forwarded to the native kernels' in-kernel trial
     sharding (:func:`repro.core._native.resolve_n_threads`); ratios are
     bit-identical for every count, and the scalar/NumPy paths ignore it.
@@ -195,8 +181,6 @@ def trial_ratios(
     key = normalize_algorithm(algorithm)
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
-    if draws is not None and not use_batch:
-        raise ValueError("draws= requires use_batch=True (the scalar path samples lazily)")
     factory = _trial_factory(algorithm, n_processors, seed)
     trials = range(start, start + n_trials)
     if not use_batch:
@@ -206,13 +190,8 @@ def trial_ratios(
             out[i] = trial_ratio(algorithm, n_processors, sampler, rng, lam=lam)
         return out
 
-    if draws is None:
-        rngs = [factory.generator_for(t) for t in trials]
-        draws = sampler.sample_trial_matrix(rngs, max(0, n_processors - 1))
-    elif draws.shape[0] != n_trials:
-        raise ValueError(
-            f"draws has {draws.shape[0]} rows for {n_trials} trials"
-        )
+    rngs = [factory.generator_for(t) for t in trials]
+    draws = sampler.sample_trial_matrix(rngs, max(0, n_processors - 1))
     if key in ("hf", "phf"):
         weights = hf_final_weights_batch(
             1.0, n_processors, draws, n_threads=n_threads

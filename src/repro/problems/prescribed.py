@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.core.ba import ba_split
 from repro.core.bahf import bahf_threshold
+from repro.core.bounds import normalize_algorithm
 from repro.core.phf import phf_threshold
 from repro.core.problem import BisectableProblem, check_alpha
 
@@ -402,7 +403,7 @@ def prescribed_problem(
     ``alpha`` is required for ``phf`` and ``bahf`` (it shapes the
     prescription); for ``hf``/``ba`` it is only declared on the instance.
     """
-    key = algorithm.lower().replace("-", "").replace("_", "")
+    key = normalize_algorithm(algorithm)
     if key == "hf":
         return hf_draw_problem(
             n_processors, row, initial_weight=initial_weight, alpha=alpha
@@ -417,10 +418,8 @@ def prescribed_problem(
         return bahf_draw_tree(
             n_processors, row, alpha=alpha, lam=lam, initial_weight=initial_weight
         )
-    if key == "phf":
-        if alpha is None:
-            raise ValueError("phf prescription needs alpha")
-        return phf_draw_tree(
-            n_processors, row, alpha=alpha, keep=keep, initial_weight=initial_weight
-        )
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if alpha is None:
+        raise ValueError("phf prescription needs alpha")
+    return phf_draw_tree(
+        n_processors, row, alpha=alpha, keep=keep, initial_weight=initial_weight
+    )

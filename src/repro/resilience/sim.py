@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.ba import ba_split
 from repro.core.bahf import bahf_threshold
+from repro.core.bounds import normalize_algorithm
 from repro.core.hf import run_hf
 from repro.core.partition import Partition
 from repro.core.phf import phf_threshold
@@ -59,13 +60,6 @@ from repro.simulator.machine import Machine, MachineConfig
 from repro.simulator.trace import SimulationResult
 
 __all__ = ["simulate_with_faults"]
-
-
-def _normalize(algorithm: str) -> str:
-    key = algorithm.lower().replace("-", "").replace("_", "")
-    if key not in ("hf", "phf", "ba", "bahf"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return key
 
 
 class _FaultyRun:
@@ -633,7 +627,7 @@ def simulate_with_faults(
     With ``plan.is_empty`` the result is bit-identical to the fault-free
     simulation of the same problem instance (regression-tested).
     """
-    key = _normalize(algorithm)
+    key = normalize_algorithm(algorithm)
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
     run = _FaultyRun(n_processors, plan, policy or RecoveryPolicy(), config)

@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.core import _native
 from repro.core.batch import _as_draw_matrix, _split_level, hf_final_weights_batch
+from repro.core.bounds import normalize_algorithm
 from repro.core.phf import phf_threshold
 from repro.core.bahf import bahf_threshold
 from repro.core.problem import check_alpha
@@ -114,9 +115,7 @@ def fastpath_supported(
     PHF with a non-central phase-1 strategy (the on-line acquisition
     chronology is then randomness-dependent).
     """
-    key = algorithm.lower().replace("-", "").replace("_", "")
-    if key not in ("hf", "phf", "ba", "bahf"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    key = normalize_algorithm(algorithm)
     config = config or MachineConfig()
     if config.record_events:
         return False
@@ -909,7 +908,7 @@ def fastpath_counters(
     ``REPRO_NATIVE_THREADS`` / auto); metrics are bit-identical for
     every count, and pure-NumPy paths ignore it.
     """
-    key = algorithm.lower().replace("-", "").replace("_", "")
+    key = normalize_algorithm(algorithm)
     config = config or MachineConfig()
     _require_supported(key, config, phase1=phase1)
     if key == "hf":

@@ -35,6 +35,7 @@ from repro.serve.batcher import (
     BatchEngine,
     BatchFailedError,
     MicroBatcher,
+    _compute_rows,
     _fallback_method,
     _Pending,
     request_draws,
@@ -192,17 +193,27 @@ class TestProtocol:
 
     def test_request_draws_matches_trial_ratios_input(self):
         """The batcher's per-request draw matrix is the determinism anchor:
-        feeding it back through trial_ratios reproduces the direct call."""
-        req = make_request(n_trials=6, seed=9)
-        draws = request_draws(req)
-        assert draws.shape == (6, req.n - 1)
-        direct = trial_ratios(
-            req.algorithm, req.n, req.sampler, n_trials=6, seed=9
-        )
-        via_draws = trial_ratios(
-            req.algorithm, req.n, req.sampler, n_trials=6, seed=9, draws=draws
-        )
-        assert (direct == via_draws).all()
+        run through the batcher's own kernel worker it reproduces the
+        direct trial_ratios call."""
+        for algorithm in ("hf", "ba", "bahf"):
+            req = make_request(
+                algorithm=algorithm, sampler=UniformAlpha(0.1, 0.5),
+                n_trials=6, seed=9, lam=2.0,
+            )
+            draws = request_draws(req)
+            assert draws.shape == (6, req.n - 1)
+            direct = trial_ratios(
+                req.algorithm, req.n, req.sampler, n_trials=6, seed=9, lam=2.0
+            )
+            served = _compute_rows({
+                "algorithm": req.algorithm,
+                "n": req.n,
+                "alpha": req.sampler.alpha,
+                "lam": req.lam,
+                "draws": draws,
+                "method": "auto",
+            })
+            assert (direct == served).all(), algorithm
 
 
 # ----------------------------------------------------------------------

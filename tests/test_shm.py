@@ -1,4 +1,4 @@
-"""Shared-memory helpers, the ``draws=`` argument, and leak hygiene.
+"""Shared-memory helpers and leak hygiene.
 
 The runners no longer publish draw blocks, but the
 :mod:`repro.experiments.shm` helpers remain until their last importer
@@ -15,7 +15,6 @@ import pytest
 
 from repro.experiments import shm
 from repro.experiments.runner import StochasticConfig, run_sweep
-from repro.experiments.stochastic import trial_ratios
 from repro.problems.samplers import UniformAlpha
 
 
@@ -68,24 +67,6 @@ class TestRoundTrip:
         block, _ = out
         shm.release_draws(block)
         shm.release_draws(block)  # must not raise
-
-
-class TestDrawsArgument:
-    def test_trial_ratios_rejects_scalar_path(self):
-        draws = np.full((4, 7), 0.4)
-        with pytest.raises(ValueError, match="use_batch"):
-            trial_ratios(
-                "hf", 8, UniformAlpha(0.1, 0.5), n_trials=4, seed=1,
-                use_batch=False, draws=draws,
-            )
-
-    def test_trial_ratios_rejects_row_mismatch(self):
-        draws = np.full((3, 7), 0.4)
-        with pytest.raises(ValueError, match="rows"):
-            trial_ratios(
-                "hf", 8, UniformAlpha(0.1, 0.5), n_trials=4, seed=1,
-                use_batch=True, draws=draws,
-            )
 
 
 @pytest.mark.skipif(not _shm_backed(), reason="no /dev/shm to observe")
