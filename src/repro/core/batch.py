@@ -421,7 +421,6 @@ def bahf_final_weights_batch(
     alpha: float,
     lam: float = 1.0,
     method: str = "auto",
-    hf_method: str = "auto",
     n_threads: Optional[int] = None,
 ) -> np.ndarray:
     """Batched :func:`~repro.core.bahf.bahf_final_weights`.
@@ -437,11 +436,11 @@ def bahf_final_weights_batch(
     prefers the compiled C kernel (which runs both phases in one pass --
     see :mod:`repro.core._native`) and falls back to the NumPy frontier
     when no system compiler is available; asking for ``"native"``
-    explicitly raises if the compiled kernel is unavailable.
-    ``hf_method`` selects the kernel for the NumPy path's HF sub-jobs.
+    explicitly raises if the compiled kernel is unavailable.  The NumPy
+    path is pure NumPy: its HF sub-jobs run the NumPy frontier or heap
+    (by ``HEAP_MIN_N``), never the compiled HF kernel.
     ``n_threads`` is the native kernel's in-kernel thread count
-    (bit-identical for every value; forwarded to native HF sub-jobs on
-    the NumPy path).
+    (bit-identical for every value; the NumPy path ignores it).
     """
     if n_processors < 1:
         raise ValueError(f"n_processors must be >= 1, got {n_processors}")
@@ -514,7 +513,7 @@ def bahf_final_weights_batch(
             g_draws = draws[g_trial[:, None], g_off[:, None] + np.arange(sub_n - 1)]
             sub = hf_final_weights_batch(
                 job_w[group], int(sub_n), g_draws,
-                method=hf_method, n_threads=n_threads,
+                method="frontier" if sub_n < HEAP_MIN_N else "heap",
             )
             leaf_trials.append(np.repeat(g_trial, int(sub_n)))
             leaf_weights.append(sub.ravel())

@@ -12,8 +12,8 @@ Layers, bottom up:
 
 * :mod:`repro.serve.protocol` -- request validation and response bodies;
 * :mod:`repro.serve.batcher` -- micro-batching into stacked draw-matrix
-  kernel calls, dispatched through the supervised executor with a
-  circuit breaker and hedged retries;
+  kernel calls, dispatched through the supervised executor behind a
+  circuit breaker;
 * :mod:`repro.serve.admission` -- bounded in-flight queue + p99-based
   load shedding (HTTP 429);
 * :mod:`repro.serve.breaker` -- the native-path circuit breaker;

@@ -13,15 +13,12 @@ Dispatch goes through the supervised executor
 (:func:`repro.experiments.checkpoint.execute_chunks`): SIGKILLed kernel
 workers rebuild the pool, failed attempts retry with backoff, hopeless
 groups quarantine (``strict=False``) and only their requests fail.  The
-engine wires three service-level behaviours on top:
+engine wires two service-level behaviours on top:
 
 * **circuit breaker** -- repeated dispatch failures trip the native
   kernel + worker-pool path; while open, batches are computed inline on
   the NumPy reference kernels (slower, identical results, nothing left
   to kill).  A half-open probe restores the native path.
-* **hedged retries** -- a batch straggling past the hedge delay gets a
-  duplicate inline dispatch; results are deterministic, so whichever
-  finishes first answers and the loser is discarded.
 * **deadline propagation** -- the tightest per-request deadline in a
   batch bounds the kernel attempt runtime inside ``execute_chunks``
   (the server's ``asyncio`` wait is the backstop that actually emits
@@ -132,7 +129,6 @@ class BatchEngine:
         retries: int = 3,
         chaos: Optional[ChaosSpec] = None,
         chaos_batches: int = 0,
-        hedge_after_s: Optional[float] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -140,8 +136,6 @@ class BatchEngine:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if chaos_batches < 0:
             raise ValueError(f"chaos_batches must be >= 0, got {chaos_batches}")
-        if hedge_after_s is not None and hedge_after_s <= 0:
-            raise ValueError(f"hedge_after_s must be positive, got {hedge_after_s}")
         self.report = report
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.workers = workers
@@ -149,26 +143,25 @@ class BatchEngine:
         self.retries = retries
         self.chaos = chaos
         self.chaos_batches = chaos_batches
-        self.hedge_after_s = hedge_after_s
         self._batch_seq = 0
-        self._background: Set["asyncio.Task[Any]"] = set()
 
     # -- batch construction --------------------------------------------
 
     def _build(
-        self, items: Sequence[_Pending], *, split: bool
+        self, items: Sequence[_Pending], *, native: bool
     ) -> Tuple[List[Dict[str, Any]], List[_Slice]]:
         """Group items and stack their draw matrices into worker tasks.
 
-        ``split=True`` halves a lone multi-row task so the supervised
-        executor's pool path (which needs >= 2 pending chunks) engages;
-        the kernels are row-independent, so the split is invisible in
-        the results.
+        ``native`` is the batch's one breaker decision: native tasks use
+        the ``"auto"`` kernels, and a lone multi-row native task is halved
+        so the supervised executor's pool path (which needs >= 2 pending
+        chunks) engages; the kernels are row-independent, so the split is
+        invisible in the results.  Degraded tasks use the NumPy reference
+        kernels and run inline, unsplit.
         """
         groups: Dict[Tuple[Any, ...], List[_Pending]] = {}
         for item in items:
             groups.setdefault(item.request.group_key, []).append(item)
-        native = self.breaker.allow_native()
         tasks: List[Dict[str, Any]] = []
         slices: List[_Slice] = []
         for key, members in groups.items():
@@ -195,8 +188,7 @@ class BatchEngine:
                 )
                 row = stop
         if (
-            split
-            and native
+            native
             and self.workers > 1
             and len(tasks) == 1
             and tasks[0]["draws"].shape[0] >= 2
@@ -270,7 +262,7 @@ class BatchEngine:
         self._batch_seq += 1
         batch_id = self._batch_seq
         native = self.breaker.allow_native()
-        tasks, slices = self._build(items, split=native)
+        tasks, slices = self._build(items, native=native)
         keys = [f"b{batch_id}:{i}" for i in range(len(tasks))]
         chaos = None
         if self.chaos is not None and batch_id <= self.chaos_batches:
@@ -285,71 +277,26 @@ class BatchEngine:
             self.report.max_batch_requests, len(items)
         )
 
-        loop = asyncio.get_running_loop()
-        primary = loop.run_in_executor(
-            None,
-            lambda: self._dispatch_blocking(
-                tasks, keys, native=native, timeout=timeout, chaos=chaos
-            ),
-        )
-
-        winner: Optional[Tuple[List[Optional[np.ndarray]], RunReport]] = None
-        degraded = not native
-        dispatch_error: Optional[BaseException] = None
-        hedged = False
-        if native and self.hedge_after_s is not None:
-            done, _ = await asyncio.wait({primary}, timeout=self.hedge_after_s)
-            if not done:
-                # straggler: duplicate the work on the clean inline path;
-                # determinism makes first-wins safe
-                hedged = True
-                self.report.hedges += 1
-                hedge_tasks = [
-                    dict(t, method=_fallback_method(t["algorithm"], t["n"]))
-                    for t in tasks
-                ]
-                hedge = loop.run_in_executor(
-                    None,
-                    lambda: self._dispatch_blocking(
-                        hedge_tasks,
-                        [f"{k}:hedge" for k in keys],
-                        native=False,
-                        timeout=None,
-                        chaos=None,
-                    ),
-                )
-                done, _ = await asyncio.wait(
-                    {primary, hedge}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if primary in done:
-                    self._absorb_later(hedge, native=False)
-                else:
-                    self.report.hedge_wins += 1
-                    degraded = True
-                    self._absorb_later(primary, native=True)
-                    primary = hedge
         try:
-            winner = await primary
+            results, rep = await asyncio.get_running_loop().run_in_executor(
+                None,
+                lambda: self._dispatch_blocking(
+                    tasks, keys, native=native, timeout=timeout, chaos=chaos
+                ),
+            )
         except Exception as exc:
-            dispatch_error = exc
             self.report.note_error(f"{type(exc).__name__}: {exc}")
-
-        if winner is None:
-            if native and not hedged:
-                self._record_breaker(None, failed=True)
+            if native:
+                self._record_breaker(failed=True)
             for item in items:
                 if not item.future.done():
                     item.future.set_exception(
-                        BatchFailedError(f"batch dispatch failed: {dispatch_error}")
+                        BatchFailedError(f"batch dispatch failed: {exc}")
                     )
             return
 
-        results, rep = winner
-        if not (hedged and degraded):
-            # the winner was the path allow_native() granted; settle the
-            # breaker now (a hedged-out primary settles via _absorb_later)
-            if native:
-                self._record_breaker(rep, failed=self._rep_failed(rep))
+        if native:
+            self._record_breaker(failed=self._rep_failed(rep))
         self._merge_exec_report(rep)
 
         for sl in slices:
@@ -376,7 +323,7 @@ class BatchEngine:
                 response_payload(
                     item.request,
                     ratios,
-                    degraded=degraded,
+                    degraded=not native,
                     batch_size=len(items),
                 )
             )
@@ -387,7 +334,7 @@ class BatchEngine:
     def _rep_failed(rep: RunReport) -> bool:
         return bool(rep.pool_rebuilds or rep.quarantined or rep.timeouts)
 
-    def _record_breaker(self, rep: Optional[RunReport], *, failed: bool) -> None:
+    def _record_breaker(self, *, failed: bool) -> None:
         before = self.breaker.trips
         if failed:
             self.breaker.record_failure()
@@ -406,36 +353,6 @@ class BatchEngine:
         self.report.exec_timeouts += rep.timeouts
         if rep.quarantined:
             self.report.quarantined_batches += 1
-
-    def _absorb_later(self, pending: "asyncio.Future[Any]", *, native: bool) -> None:
-        """Consume a losing dispatch in the background.
-
-        Threads cannot be cancelled; the loser runs to completion and its
-        outcome still feeds the breaker (a primary that eventually shows
-        pool rebuilds is a real failure signal even though a hedge
-        answered the requests).
-        """
-
-        async def absorb() -> None:
-            try:
-                _results, rep = await pending
-            except Exception as exc:
-                if native:
-                    self._record_breaker(None, failed=True)
-                self.report.note_error(f"{type(exc).__name__}: {exc}")
-                return
-            self._merge_exec_report(rep)
-            if native:
-                self._record_breaker(rep, failed=self._rep_failed(rep))
-
-        task = asyncio.get_running_loop().create_task(absorb())
-        self._background.add(task)
-        task.add_done_callback(self._background.discard)
-
-    async def drain_background(self) -> None:
-        """Wait for losing hedge/primary dispatches to finish (for drain)."""
-        while self._background:
-            await asyncio.gather(*list(self._background), return_exceptions=True)
 
 
 class MicroBatcher:
@@ -487,7 +404,7 @@ class MicroBatcher:
             task.add_done_callback(self._inflight.discard)
 
     async def drain(self) -> None:
-        """Flush the queue and wait for every batch (and loser) to finish."""
+        """Flush the queue and wait for every batch to finish."""
         while self._queue or self._inflight or (
             self._flusher is not None and not self._flusher.done()
         ):
@@ -504,4 +421,3 @@ class MicroBatcher:
                 await asyncio.gather(
                     *list(self._inflight), return_exceptions=True
                 )
-        await self.engine.drain_background()

@@ -50,11 +50,6 @@ class ServeReport:
     #: largest number of requests coalesced into one batch
     max_batch_requests: int = 0
 
-    #: hedged duplicate dispatches launched for straggling batches
-    hedges: int = 0
-    #: hedges whose result arrived before the primary's
-    hedge_wins: int = 0
-
     #: circuit-breaker trips (native+pool path -> degraded fallback)
     breaker_trips: int = 0
     #: successful half-open probes (degraded -> native restored)
@@ -108,8 +103,6 @@ class ServeReport:
         ]
         if self.draining_rejected:
             parts.append(f"{self.draining_rejected} rejected while draining")
-        if self.hedges:
-            parts.append(f"{self.hedges} hedges ({self.hedge_wins} won)")
         if self.drained:
             parts.append("drained")
         return "; ".join(parts)
@@ -128,8 +121,6 @@ class ServeReport:
             "batch_requests": self.batch_requests,
             "batch_rows": self.batch_rows,
             "max_batch_requests": self.max_batch_requests,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
             "breaker_trips": self.breaker_trips,
             "breaker_recoveries": self.breaker_recoveries,
             "worker_deaths": self.worker_deaths,

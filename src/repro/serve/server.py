@@ -57,6 +57,8 @@ _REASONS = {
 
 #: Request bodies past this size are rejected before being read fully.
 MAX_BODY_BYTES = 1 << 20
+#: Requests with more header lines than this (repeats count) get a 400.
+MAX_HEADERS = 100
 
 
 class _MalformedRequest(Exception):
@@ -81,7 +83,6 @@ class ServeConfig:
     max_inflight: int = 512
     p99_budget_s: Optional[float] = None
     default_deadline_s: float = 30.0
-    hedge_after_s: Optional[float] = None
     breaker_threshold: int = 3
     breaker_reset_s: float = 5.0
     chaos: Optional[ChaosSpec] = None
@@ -110,7 +111,6 @@ class PartitionServer:
             retries=config.retries,
             chaos=config.chaos,
             chaos_batches=config.chaos_batches if config.chaos else 0,
-            hedge_after_s=config.hedge_after_s,
         )
         self.batcher = MicroBatcher(
             self.engine,
@@ -236,12 +236,16 @@ class PartitionServer:
         except ValueError:
             return None
         headers: Dict[str, str] = {}
-        while True:
+        for _ in range(MAX_HEADERS + 1):
             raw = await reader.readline()
             if not raw or raw in (b"\r\n", b"\n"):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _MalformedRequest(
+                path, f"more than {MAX_HEADERS} header lines"
+            )
         raw_length = headers.get("content-length", "0") or "0"
         # The length cap also keeps int() clear of its digit limit.
         if not (
@@ -391,10 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--default-deadline-s", type=float, default=30.0,
         help="deadline for requests that do not send deadline_ms",
     )
-    parser.add_argument(
-        "--hedge-after-ms", type=float, default=None,
-        help="duplicate a straggling batch onto the inline path after this",
-    )
     parser.add_argument("--breaker-threshold", type=int, default=3)
     parser.add_argument("--breaker-reset-s", type=float, default=5.0)
     parser.add_argument(
@@ -432,9 +432,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
             args.p99_budget_ms / 1000.0 if args.p99_budget_ms else None
         ),
         default_deadline_s=args.default_deadline_s,
-        hedge_after_s=(
-            args.hedge_after_ms / 1000.0 if args.hedge_after_ms else None
-        ),
         breaker_threshold=args.breaker_threshold,
         breaker_reset_s=args.breaker_reset_s,
         chaos=chaos,

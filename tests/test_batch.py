@@ -169,6 +169,34 @@ class TestNativeBitIdentity:
         )
         assert np.array_equal(np.sort(nat, axis=1), np.sort(ref, axis=1))
 
+    def test_bahf_frontier_is_pure_numpy(self, monkeypatch):
+        """The NumPy path finishes its HF sub-jobs without compiled code,
+        and still matches the native kernel bit for bit."""
+        import repro.core._native as native
+        import repro.core.batch as batch
+
+        n, alpha = 257, 0.05
+        draws = _draw_matrix(UniformAlpha(alpha, 0.5), n)
+        nat = bahf_final_weights_batch(1.0, n, draws, alpha=alpha, method="native")
+
+        def no_native_hf(*args, **kwargs):
+            raise AssertionError("compiled HF kernel called on the NumPy path")
+
+        sub_sizes = []
+        real_hf = batch.hf_final_weights_batch
+
+        def spy_hf(w0, n_processors, *args, **kwargs):
+            sub_sizes.append(n_processors)
+            return real_hf(w0, n_processors, *args, **kwargs)
+
+        monkeypatch.setattr(native, "hf_batch_native", no_native_hf)
+        monkeypatch.setattr(batch, "hf_final_weights_batch", spy_hf)
+        ref = bahf_final_weights_batch(
+            1.0, n, draws, alpha=alpha, method="frontier"
+        )
+        assert max(sub_sizes) >= 2
+        assert np.array_equal(np.sort(nat, axis=1), np.sort(ref, axis=1))
+
     @pytest.mark.parametrize("n", (2, 3, 64, 257))
     def test_hf_native_equals_heap(self, n):
         draws = _draw_matrix(UniformAlpha(0.01, 0.5), n)

@@ -48,7 +48,7 @@ from repro.serve.protocol import (
     ProtocolError,
 )
 from repro.serve.report import ServeReport
-from repro.serve.server import PartitionServer, ServeConfig
+from repro.serve.server import MAX_HEADERS, PartitionServer, ServeConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -460,8 +460,8 @@ class TestBatchEngine:
                          .create_future(), None)
                 for s in (1, 2)
             ]
-            plain_tasks, _ = engine._build(items, split=False)
-            split_tasks, slices = engine._build(items, split=True)
+            plain_tasks, _ = engine._build(items, native=False)
+            split_tasks, slices = engine._build(items, native=True)
             return plain_tasks, split_tasks, slices
 
         plain_tasks, split_tasks, slices = asyncio.run(scenario())
@@ -503,32 +503,32 @@ class TestBatchEngine:
         assert engine.report.quarantined_batches == 1
         assert engine.report.exec_retries >= 1
 
-    def test_hedge_answers_a_straggling_batch(self):
-        """A chaos hang longer than the hedge delay makes the inline hedge
-        win; the answer is still bit-identical (determinism makes
-        first-wins safe) and the hedge is accounted."""
-        chaos = ChaosSpec(
-            config=ChaosConfig(
-                hang_rate=1.0, min_hangs=1, max_hangs=1, hang_seconds=0.8
-            ),
-            seed=5,
+    def test_half_open_probe_runs_the_native_pool_path(self, monkeypatch):
+        """The probe batch past the reset window is built, split and
+        dispatched as native; its success closes the breaker."""
+        import repro.serve.batcher as batcher
+
+        clock = FakeClock()
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_after_s=5.0, clock=clock
         )
-        requests = [make_request(seed=11), make_request(seed=12)]
-        engine, results = self.settle(
-            requests,
-            chaos=chaos,
-            chaos_batches=1,
-            hedge_after_s=0.05,
-        )
-        assert engine.report.hedges == 1
-        assert engine.report.hedge_wins == 1
-        for req, payload in zip(requests, results):
-            assert payload["degraded"]  # hedge rode the fallback path
-            direct = trial_ratios(
-                req.algorithm, req.n, req.sampler,
-                n_trials=req.n_trials, seed=req.seed,
-            )
-            assert payload["ratios"] == summarize_ratios(direct).as_dict()
+        breaker.record_failure()
+        clock.now += 10.0
+        calls = []
+        real_execute_chunks = batcher.execute_chunks
+
+        def spy(tasks, fn, **kw):
+            calls.append(([t["method"] for t in tasks], kw["n_jobs"]))
+            return real_execute_chunks(tasks, fn, **kw)
+
+        monkeypatch.setattr(batcher, "execute_chunks", spy)
+        requests = [make_request(n=256, seed=s) for s in (1, 2)]
+        engine, results = self.settle(requests, breaker=breaker, workers=2)
+        assert calls == [(["auto", "auto"], 2)]
+        for payload in results:
+            assert not payload["degraded"]
+        assert breaker.state == CLOSED and breaker.recoveries == 1
+        assert engine.report.breaker_recoveries == 1
 
     def test_fallback_method_selection(self):
         assert _fallback_method("hf", 32) == "frontier"
@@ -588,13 +588,16 @@ class TestServerRoutes:
         assert report.completed == 1 and report.invalid == 2
 
     @staticmethod
-    def _send_raw(path, length):
+    def _send_raw(path, length, extra_headers=""):
+        """One raw request; returns (report, status, payload) once the
+        server has closed the connection and drained."""
+
         async def scenario():
             server, host, port, drain_task = await start_server(window_s=0.0)
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(
                 (
-                    f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+                    f"POST {path} HTTP/1.1\r\nHost: test\r\n{extra_headers}"
                     f"Content-Length: {length}\r\n\r\n{{}}"
                 ).encode("latin-1")
             )
@@ -607,10 +610,9 @@ class TestServerRoutes:
 
         server, raw = asyncio.run(scenario())
         head, _, payload = raw.partition(b"\r\n\r\n")
-        assert head.split(b"\r\n")[0].split()[1] == b"400"
-        assert "Content-Length" in json.loads(payload)["error"]
         assert server.report.accounted and server.report.drained
-        return server.report
+        status = int(head.split(b"\r\n")[0].split()[1])
+        return server.report, status, json.loads(payload)
 
     @pytest.mark.parametrize(
         "length",
@@ -618,13 +620,32 @@ class TestServerRoutes:
         ids=["letters", "negative", "too-many-digits"],
     )
     def test_malformed_content_length_is_a_400(self, length):
-        report = self._send_raw("/v1/partition", length)
+        report, status, payload = self._send_raw("/v1/partition", length)
+        assert status == 400 and "Content-Length" in payload["error"]
         assert report.invalid == 1 and report.received == 1
 
     def test_malformed_framing_off_the_partition_route_is_not_counted(self):
         # received/invalid count partition requests only
-        report = self._send_raw("/healthz", "abc")
+        report, status, payload = self._send_raw("/healthz", "abc")
+        assert status == 400 and "Content-Length" in payload["error"]
         assert report.invalid == 0 and report.received == 0
+
+    def test_header_lines_past_the_cap_are_a_400(self):
+        # Host, Connection, padding and Content-Length lines; repeated
+        # names count, so the cap is on lines, not distinct headers
+        def padded(lines):
+            return "Connection: close\r\n" + "X-Pad: 1\r\n" * (lines - 3)
+
+        report, status, payload = self._send_raw(
+            "/v1/partition", 2, padded(MAX_HEADERS + 1)
+        )
+        assert status == 400 and "header lines" in payload["error"]
+        assert report.invalid == 1 and report.received == 1
+        # exactly at the cap the request is framed and routed as usual
+        report, status, payload = self._send_raw(
+            "/healthz", 2, padded(MAX_HEADERS)
+        )
+        assert status == 200 and payload == {"ok": True}
 
     def test_admission_sheds_with_retry_after(self):
         async def scenario():

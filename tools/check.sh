@@ -176,8 +176,10 @@ echo "== serve: chaos burst, zero drops, graceful drain =="
 # chaos profile injected into its first batches (real worker SIGKILLs +
 # an over-deadline hang), fire a short load burst, and require (a) every
 # request got an HTTP response (shed/expired are legal, silent drops are
-# not), (b) the drained ServeReport accounts for every request, and (c)
-# SIGTERM drains cleanly with exit code 0.
+# not), (b) the drained ServeReport accounts for every request and
+# rejected none of loadgen's requests as invalid (so a framing limit
+# cannot turn away well-formed traffic), and (c) SIGTERM drains cleanly
+# with exit code 0.
 serve_log=$(mktemp)
 serve_report=$(mktemp)
 python -m repro.serve --port 0 --workers 2 --backend processes \
@@ -211,11 +213,13 @@ report = json.load(open(sys.argv[1]))
 assert report["accounted"], f"unaccounted requests: {report}"
 assert report["drained"], "server did not record a graceful drain"
 assert report["received"] > 0, "loadgen reached the server zero times"
+assert report["invalid"] == 0, f"loadgen requests rejected as invalid: {report}"
 assert report["worker_deaths"] >= 1, f"chaos injected no worker death: {report}"
 print(
     f"serve stage OK: {report['received']} requests, "
     f"{report['worker_deaths']} worker deaths, "
-    f"{report['breaker_trips']} breaker trips, accounted + drained"
+    f"{report['breaker_trips']} breaker trips, invalid {report['invalid']}, "
+    f"accounted + drained"
 )
 EOF
 rm -f "$serve_log" "$serve_report"
