@@ -250,7 +250,6 @@ class TestNativeKernelThroughput:
                 n_trials=n_trials,
                 seed=SEED,
                 config=MachineConfig(),
-                engine="fastpath",
             )
 
         run_fastpath(2)  # warm

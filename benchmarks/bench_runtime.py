@@ -9,16 +9,18 @@ Also covers the ablations DESIGN.md §4 lists for the machine model:
 PHF's phase-1 strategy (idealized central manager vs the realisable BA′
 scheme) and keep-heavy vs keep-light child policy.
 
-The study runs on the closed-form fastpath engine (the default); a
-small dual-engine cell re-checks that the DES reports the identical
+The study runs on the closed-form fastpath; a small cell re-checks that
+the DES (the fastpath hidden from the study) reports the identical
 records (the full bit-identity property lives in tests/test_fastpath.py,
 and the throughput comparison in bench_fastpath.py).
 """
 
 import math
+from unittest import mock
 
 import pytest
 
+from repro.experiments import runtime_study
 from repro.experiments.runtime_study import (
     render_runtime_study,
     run_runtime_study,
@@ -33,19 +35,16 @@ def test_runtime_separation(benchmark):
     n_values = tuple(2**k for k in range(2, 12 if full_scale() else 11))
     result = run_once(
         benchmark,
-        lambda: run_runtime_study(
-            n_values=n_values, n_repeats=5, engine="fastpath"
-        ),
+        lambda: run_runtime_study(n_values=n_values, n_repeats=5),
     )
     write_artifact("runtime_study", render_runtime_study(result))
 
-    # engine knob: the DES reports the identical records (small cell;
-    # the exhaustive bit-identity property is tests/test_fastpath.py)
+    # the DES reports the identical records (small serial cell; the
+    # exhaustive bit-identity property is tests/test_fastpath.py)
     small = dict(n_values=(4, 32), n_repeats=3)
-    assert (
-        run_runtime_study(engine="des", **small).records
-        == run_runtime_study(engine="fastpath", **small).records
-    )
+    fast = run_runtime_study(**small).records
+    with mock.patch.object(runtime_study, "fastpath_supported", return_value=False):
+        assert run_runtime_study(**small).records == fast
 
     n_lo, n_hi = 32, max(n_values)
     scale = n_hi / n_lo

@@ -70,9 +70,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.chaos import ChaosPlan, ChaosSpec, RunReport, chaos_call
 from repro.chaos import crashpoints
 from repro.experiments.config import (
-    default_backoff_base,
-    default_backoff_cap,
-    default_pool_rebuilds,
+    DEFAULT_BACKOFF_BASE,
+    DEFAULT_BACKOFF_CAP,
+    DEFAULT_POOL_REBUILDS,
 )
 from repro.utils.rng import child_seed
 
@@ -532,9 +532,8 @@ def execute_chunks(
     chaos: Optional[Union[ChaosSpec, ChaosPlan]] = None,
     report: Optional[RunReport] = None,
     strict: bool = True,
-    backoff_base: Optional[float] = None,
-    backoff_cap: Optional[float] = None,
-    rebuild_budget: Optional[int] = None,
+    backoff_base: float = DEFAULT_BACKOFF_BASE,
+    rebuild_budget: int = DEFAULT_POOL_REBUILDS,
     run_deadline: Optional[float] = None,
     cancel_on_sigterm: bool = False,
 ) -> List[Any]:
@@ -557,7 +556,9 @@ def execute_chunks(
       chunk's *runtime* measured from its observed start (a chunk
       queued behind slow ones is not charged for the wait); failed
       attempts retry up to ``retries`` times with exponential backoff
-      and deterministic per-key jitter (workers are pure functions, so
+      from ``backoff_base`` (capped at
+      :data:`~repro.experiments.config.DEFAULT_BACKOFF_CAP`) and
+      deterministic per-key jitter (workers are pure functions, so
       re-running one is bit-safe); chunks that exhaust the budget are
       quarantined and the run continues -- with ``strict=True`` a
       :class:`ChunkQuarantinedError` is raised *after* everything else
@@ -590,17 +591,10 @@ def execute_chunks(
         raise ValueError(
             f"unknown backend {backend!r} (use 'processes' or 'threads')"
         )
-    # Unset knobs fall back to the REPRO_BACKOFF_BASE / REPRO_BACKOFF_CAP /
-    # REPRO_POOL_REBUILDS environment overrides (read per call, so a
-    # long-lived service tightens them without a restart), then to the
-    # DEFAULT_* constants.
-    base = default_backoff_base() if backoff_base is None else backoff_base
-    cap = default_backoff_cap() if backoff_cap is None else backoff_cap
-    budget = default_pool_rebuilds() if rebuild_budget is None else rebuild_budget
-    if base < 0.0 or cap < 0.0:
-        raise ValueError(f"backoff must be >= 0, got base={base}, cap={cap}")
-    if budget < 0:
-        raise ValueError(f"rebuild_budget must be >= 0, got {budget}")
+    if backoff_base < 0.0:
+        raise ValueError(f"backoff_base must be >= 0, got {backoff_base}")
+    if rebuild_budget < 0:
+        raise ValueError(f"rebuild_budget must be >= 0, got {rebuild_budget}")
     if encode is None:
         encode = lambda result: result  # noqa: E731 - identity codec
     if decode is None:
@@ -655,7 +649,9 @@ def execute_chunks(
             rep.quarantined.append(keys[idx])
             return -1.0
         rep.retries += 1
-        delay = _backoff_delay(keys[idx], attempts[idx], base, cap)
+        delay = _backoff_delay(
+            keys[idx], attempts[idx], backoff_base, DEFAULT_BACKOFF_CAP
+        )
         rep.backoff_seconds += delay
         return delay
 
@@ -733,7 +729,7 @@ def execute_chunks(
                 timeout=timeout,
                 plan=plan,
                 rep=rep,
-                budget=budget,
+                budget=rebuild_budget,
                 pending=pending,
                 attempts=attempts,
                 finished=finished,

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.experiments.config import (
     BACKENDS,
     DEFAULT_N_VALUES,
-    ENGINES,
     PAPER_N_VALUES,
     full_scale_requested,
 )
@@ -96,6 +95,32 @@ def _parse_fault_rates(text: str) -> tuple:
     return rates
 
 
+def _positive_int(text: str) -> int:
+    """An integer >= 1; argparse-friendly errors."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """A number > 0; argparse-friendly errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not value > 0.0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number, got {text!r}"
+        )
+    return value
+
+
 def _parse_alpha(text: str) -> float:
     """A bisection guarantee in (0, 1/2]; argparse-friendly errors."""
     try:
@@ -142,11 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
             "repair|compact FILE' maintains chunk journals)"
         ),
     )
-    parser.add_argument("--trials", type=int, default=None, help="trials per cell")
+    parser.add_argument(
+        "--trials", type=_positive_int, default=None, help="trials per cell"
+    )
     parser.add_argument(
         "--max-n", type=int, default=None, help="largest processor count"
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes"
+    )
     parser.add_argument(
         "--backend",
         choices=list(BACKENDS),
@@ -160,17 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--seed", type=int, default=20260706)
-    parser.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default="fastpath",
-        help=(
-            "machine-model evaluation engine for the runtime/topology "
-            "studies: closed-form batched kernels ('fastpath', default; "
-            "bit-identical to the DES) or the discrete-event simulator "
-            "('des')"
-        ),
-    )
     parser.add_argument(
         "--full",
         action="store_true",
@@ -247,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--deadline",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help=(
@@ -264,16 +282,19 @@ def _chaos_profile_names() -> List[str]:
     return list(CHAOS_PROFILES)
 
 
-def _grid(args: argparse.Namespace) -> tuple:
-    """(n_values, n_trials) for the chosen scale."""
-    full = args.full or full_scale_requested()
-    n_values = PAPER_N_VALUES if full else DEFAULT_N_VALUES
-    if args.max_n is not None:
-        n_values = tuple(n for n in n_values if n <= args.max_n)
-        if not n_values:
-            raise SystemExit(f"--max-n {args.max_n} removes every N value")
-    trials = args.trials if args.trials is not None else (1000 if full else 200)
-    return n_values, trials
+#: Experiments that run on the sweep grid (``DEFAULT_N_VALUES``, or
+#: ``PAPER_N_VALUES`` at full scale).
+_SWEEP_GRID_EXPERIMENTS = (
+    "table1", "figure5", "lambda", "variance", "intervals", "report", "all"
+)
+
+
+def _capped(args: argparse.Namespace, n_values: Iterable[int]) -> tuple:
+    """An experiment's N grid cut at ``--max-n``; exits if none remain."""
+    kept = tuple(n for n in n_values if args.max_n is None or n <= args.max_n)
+    if not kept:
+        raise SystemExit(f"--max-n {args.max_n} removes every N value")
+    return kept
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -284,22 +305,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return journal_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
+    full = args.full or full_scale_requested()
+    trials = args.trials if args.trials is not None else (1000 if full else 200)
+    n_values: tuple = ()
+    if args.experiment in _SWEEP_GRID_EXPERIMENTS:
+        n_values = _capped(args, PAPER_N_VALUES if full else DEFAULT_N_VALUES)
     if args.experiment == "report":
         from repro.experiments.report import generate_report
 
         target = args.out or "REPORT.md"
-        n_values, trials = _grid(args)
         path = generate_report(
             target,
             n_trials=trials,
-            full=args.full or full_scale_requested(),
+            full=full,
             max_n=args.max_n,
             seed=args.seed,
             n_jobs=args.jobs,
         )
         print(f"report written to {path}")
         return 0
-    n_values, trials = _grid(args)
     kw = dict(n_trials=trials, n_values=n_values, seed=args.seed, n_jobs=args.jobs)
 
     outputs: List[str] = []
@@ -392,15 +416,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         )
     if args.experiment in ("runtime", "all"):
-        runtime_ns = tuple(
-            n for n in (2**k for k in range(2, 11)) if args.max_n is None or n <= args.max_n
-        )
+        runtime_ns = _capped(args, (2**k for k in range(2, 11)))
         outputs.append(
             render_runtime_study(
                 run_runtime_study(
                     n_values=runtime_ns,
                     seed=args.seed,
-                    engine=args.engine,
                     n_jobs=args.jobs,
                     backend=args.backend,
                 )
@@ -414,11 +435,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         from repro.problems.samplers import FixedAlpha
 
-        fault_ns = tuple(
-            n for n in (32, 64) if args.max_n is None or n <= args.max_n
-        )
-        if not fault_ns:
-            fault_ns = (32,)
+        fault_ns = _capped(args, (32, 64))
         fault_result = run_fault_study(
             n_values=fault_ns,
             fault_rates=args.fault_rates or DEFAULT_FAULT_RATES,
@@ -437,15 +454,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ]
             csv_payload = "\n".join([",".join(header)] + rows) + "\n"
     if args.experiment in ("topology", "all"):
-        topo_ns = tuple(
-            n for n in (16, 64, 256) if args.max_n is None or n <= args.max_n
-        )
+        topo_ns = _capped(args, (16, 64, 256))
         outputs.append(
             render_topology_study(
                 run_topology_study(
                     n_values=topo_ns,
                     seed=args.seed,
-                    engine=args.engine,
                     n_jobs=args.jobs,
                     backend=args.backend,
                 )
@@ -467,9 +481,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         )
     if args.experiment in ("distributions", "all"):
-        dist_ns = tuple(
-            n for n in (32, 128, 512) if args.max_n is None or n <= args.max_n
-        )
+        dist_ns = _capped(args, (32, 128, 512))
         outputs.append(
             render_distribution_study(
                 run_distribution_study(

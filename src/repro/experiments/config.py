@@ -26,14 +26,9 @@ __all__ = [
     "DEFAULT_BACKOFF_CAP",
     "DEFAULT_POOL_REBUILDS",
     "BACKENDS",
-    "ENGINES",
     "StochasticConfig",
-    "default_backoff_base",
-    "default_backoff_cap",
-    "default_pool_rebuilds",
     "full_scale_requested",
     "normalize_backend",
-    "normalize_engine",
 ]
 
 #: Default trial-chunk size for the sweep runner.  Chunking is part of
@@ -43,8 +38,8 @@ __all__ = [
 DEFAULT_CHUNK_SIZE = 256
 
 #: Default trial-chunk size for the machine-model studies (runtime /
-#: topology).  Smaller than the sweep default: one study trial can cost a
-#: whole DES run when a cell falls back to ``engine="des"``.
+#: topology).  Smaller than the sweep default: a cell the closed-form
+#: fastpath cannot express costs one whole DES run per trial.
 DEFAULT_STUDY_CHUNK_SIZE = 64
 
 #: Default bounded-retry count for chunks whose worker times out, dies
@@ -65,75 +60,6 @@ DEFAULT_BACKOFF_CAP = 2.0
 #: How many times the supervised executor rebuilds a broken worker pool
 #: before degrading the rest of the run to in-parent execution.
 DEFAULT_POOL_REBUILDS = 2
-
-
-def _env_nonneg_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a number, got {raw!r}"
-        ) from None
-    if not (value >= 0.0):  # also rejects NaN
-        raise ValueError(f"{name} must be non-negative, got {raw!r}")
-    return value
-
-
-def _env_nonneg_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {raw!r}")
-    return value
-
-
-def default_backoff_base() -> float:
-    """First-retry backoff: ``REPRO_BACKOFF_BASE`` or the baked-in default.
-
-    The environment knobs exist because one executor serves two very
-    different callers: batch sweeps tolerate (and want) the forgiving
-    defaults, while the serving layer (:mod:`repro.serve`) and CI runs
-    need much tighter retry timing.  Read at call time so a long-lived
-    process picks up changes; invalid values raise :class:`ValueError`
-    rather than being silently ignored (see docs/resilience.md).
-    """
-    return _env_nonneg_float("REPRO_BACKOFF_BASE", DEFAULT_BACKOFF_BASE)
-
-
-def default_backoff_cap() -> float:
-    """Backoff ceiling: ``REPRO_BACKOFF_CAP`` or the baked-in default."""
-    return _env_nonneg_float("REPRO_BACKOFF_CAP", DEFAULT_BACKOFF_CAP)
-
-
-def default_pool_rebuilds() -> int:
-    """Pool-rebuild budget: ``REPRO_POOL_REBUILDS`` or the default."""
-    return _env_nonneg_int("REPRO_POOL_REBUILDS", DEFAULT_POOL_REBUILDS)
-
-#: Evaluation engines for the machine-model studies.  ``"fastpath"``
-#: uses the closed-form batched kernels of
-#: :mod:`repro.simulator.fastpath` wherever they exist and falls back to
-#: the DES per cell (the two are bit-identical -- see
-#: tests/test_fastpath.py); ``"des"`` forces the discrete-event
-#: simulator everywhere.
-ENGINES: Tuple[str, ...] = ("des", "fastpath")
-
-
-def normalize_engine(engine: str) -> str:
-    """Canonical engine key; raises on unknown names."""
-    key = engine.lower()
-    if key not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (known: {list(ENGINES)})")
-    return key
 
 
 #: Parallel execution backends for the chunked runners.  ``"processes"``

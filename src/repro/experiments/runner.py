@@ -314,7 +314,6 @@ def run_sweep(
     chaos: Optional[Any] = None,
     report: Optional[Any] = None,
     strict: bool = True,
-    rebuild_budget: Optional[int] = None,
     run_deadline: Optional[float] = None,
     cancel_on_sigterm: bool = False,
 ) -> SweepResult:
@@ -383,7 +382,6 @@ def run_sweep(
         chaos=chaos,
         report=report,
         strict=strict,
-        rebuild_budget=rebuild_budget,
         run_deadline=run_deadline,
         cancel_on_sigterm=cancel_on_sigterm,
     )

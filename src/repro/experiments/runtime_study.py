@@ -11,24 +11,21 @@ algorithm -- reproducing the qualitative separation the paper argues
 analytically, plus the PHF-vs-BA communication trade-off the conclusion
 discusses.
 
-Two engines compute the per-trial metrics (``engine=`` knob):
-
-* ``"fastpath"`` (default) -- the closed-form batched kernels of
-  :mod:`repro.simulator.fastpath` (compiled C where a system compiler
-  exists, pure NumPy otherwise), bit-identical to the DES (enforced by
-  tests/test_fastpath.py) and orders of magnitude faster at large N.
-  All four algorithms run closed-form on all topologies; the one cell
-  shape the kernels cannot express (non-central PHF phase 1) falls back
-  to the DES transparently.
-* ``"des"`` -- the discrete-event simulator everywhere (the oracle).
+Each cell picks its evaluator from :func:`fastpath_supported`: the
+closed-form batched kernels of :mod:`repro.simulator.fastpath` (compiled
+C where a system compiler exists, pure NumPy otherwise) run every cell
+they can express -- all four algorithms on all topologies -- and are
+bit-identical to the discrete-event simulator (enforced by
+tests/test_fastpath.py) while orders of magnitude faster at large N.
+The DES stays the oracle and evaluates the rest: non-central PHF phase 1
+and ``MachineConfig(record_events=True)``.
 
 Trial ``t`` of cell ``(algorithm, N)`` derives its generator from
 ``(seed, algorithm, N, t)`` exactly like the ratio sweeps
 (:func:`repro.experiments.stochastic.trial_ratios`), and scheduling is
 *trial-chunked* over a ``ProcessPoolExecutor``: chunk layout and merge
 order are functions of the parameters alone, so results are bit-identical
-for any ``n_jobs`` -- and identical between the two engines wherever the
-fastpath applies.  Each chunk samples its own rows; the chunk plumbing
+for any ``n_jobs``.  Each chunk samples its own rows; the chunk plumbing
 (journal, executor, regrouping) is the sweep runner's shared engine.
 """
 
@@ -40,11 +37,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.config import (
-    DEFAULT_STUDY_CHUNK_SIZE,
-    normalize_backend,
-    normalize_engine,
-)
+from repro.experiments.config import DEFAULT_STUDY_CHUNK_SIZE, normalize_backend
 from repro.experiments.runner import _run_matrix_cells, chunk_bounds
 from repro.experiments.stochastic import _trial_factory, normalize_algorithm
 from repro.problems.prescribed import prescribed_problem
@@ -99,7 +92,6 @@ class RuntimeRecord:
 class RuntimeStudyResult:
     records: Tuple[RuntimeRecord, ...]
     n_repeats: int
-    engine: str = "des"
 
     def series(self, algorithm: str, field: str) -> List[Tuple[int, float]]:
         out = []
@@ -146,7 +138,6 @@ def study_trial_metrics(
     lam: float = 1.0,
     phf_phase1: str = "central",
     config: Optional[MachineConfig] = None,
-    engine: str = "fastpath",
     n_threads: Optional[int] = None,
 ) -> np.ndarray:
     """Machine metrics for trials ``start .. start + n_trials - 1``.
@@ -154,15 +145,15 @@ def study_trial_metrics(
     Returns a ``(n_trials, len(METRIC_COLUMNS))`` float64 matrix.  Trial
     ``t`` uses a generator derived from ``(seed, algorithm,
     n_processors, t)``, so any chunking of the trial range reproduces
-    the serial values exactly, and the two engines agree bit for bit on
-    every cell the fastpath supports.
+    the serial values exactly.  Cells that :func:`fastpath_supported`
+    accepts run on the closed-form kernels; the rest run on the DES,
+    which agrees with the kernels bit for bit wherever both apply.
 
     ``n_threads`` is forwarded to the fastpath's native kernels
     (in-kernel trial-block threading; bit-identical for every count).
-    The DES engine ignores it.
+    The DES ignores it.
     """
     key = normalize_algorithm(algorithm)
-    engine = normalize_engine(engine)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     config = config or MachineConfig()
@@ -172,7 +163,7 @@ def study_trial_metrics(
     rngs = [fac.generator_for(t) for t in range(start, start + n_trials)]
     draws = sampler.sample_trial_matrix(rngs, max(1, n - 1))
 
-    if engine == "fastpath" and fastpath_supported(key, config, phase1=phf_phase1):
+    if fastpath_supported(key, config, phase1=phf_phase1):
         fp = fastpath_counters(
             key, n, draws, alpha=alpha, lam=lam, phase1=phf_phase1,
             config=config, n_threads=n_threads,
@@ -233,7 +224,6 @@ def _study_chunk(args) -> Tuple[int, np.ndarray]:
         seed,
         lam,
         phf_phase1,
-        engine,
         n_threads,
     ) = args
     matrix = study_trial_metrics(
@@ -246,7 +236,6 @@ def _study_chunk(args) -> Tuple[int, np.ndarray]:
         lam=lam,
         phf_phase1=phf_phase1,
         config=config,
-        engine=engine,
         n_threads=n_threads,
     )
     return start, matrix
@@ -260,7 +249,6 @@ def study_fingerprint(
     seed: int,
     lam: float,
     phf_phase1: str,
-    engine: str,
     chunk_size: int,
 ) -> Dict[str, Any]:
     """Journal fingerprint for a study run (``n_jobs`` excluded by design).
@@ -280,7 +268,8 @@ def study_fingerprint(
         "seed": seed,
         "lam": lam,
         "phf_phase1": phf_phase1,
-        "engine": engine,
+        # A constant: keeps pinned hashes and existing study journals valid.
+        "engine": "fastpath",
         "chunk_size": chunk_size,
     }
 
@@ -293,7 +282,6 @@ def run_study_cells(
     seed: int,
     lam: float = 1.0,
     phf_phase1: str = "central",
-    engine: str = "fastpath",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
     backend: str = "processes",
@@ -321,7 +309,6 @@ def run_study_cells(
     fingerprint covers neither ``n_jobs`` nor ``backend``, so a journal
     written under one backend resumes under the other.
     """
-    engine = normalize_engine(engine)
     backend = normalize_backend(backend)
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -340,7 +327,6 @@ def run_study_cells(
             seed,
             lam,
             phf_phase1,
-            engine,
             task_threads,
         ),
         _study_chunk,
@@ -351,7 +337,6 @@ def run_study_cells(
             seed=seed,
             lam=lam,
             phf_phase1=phf_phase1,
-            engine=engine,
             chunk_size=size,
         ),
         journal_path=journal_path,
@@ -379,7 +364,6 @@ def run_runtime_study(
     config: Optional[MachineConfig] = None,
     n_repeats: int = 5,
     seed: int = 20260706,
-    engine: str = "fastpath",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
     backend: str = "processes",
@@ -387,15 +371,13 @@ def run_runtime_study(
     """Evaluate each algorithm on ``n_repeats`` random instances per N.
 
     Reported values are means over the repeats (the machine is
-    deterministic; only the problem instance varies).  ``engine``,
-    ``n_jobs``, ``chunk_size`` and ``backend`` select the evaluation
-    engine and the trial-chunked parallel schedule; none of them changes
-    the numbers (the fastpath is bit-identical to the DES, and the chunk
-    merge order is fixed).
+    deterministic; only the problem instance varies).  ``n_jobs``,
+    ``chunk_size`` and ``backend`` select the trial-chunked parallel
+    schedule; none of them changes the numbers (the chunk merge order is
+    fixed).
     """
     if n_repeats < 1:
         raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
-    engine = normalize_engine(engine)
     sampler = sampler or UniformAlpha(0.1, 0.5)
     cells = [
         ((algo, n), algo, n, config) for n in n_values for algo in algorithms
@@ -407,7 +389,6 @@ def run_runtime_study(
         seed=seed,
         lam=lam,
         phf_phase1=phf_phase1,
-        engine=engine,
         n_jobs=n_jobs,
         chunk_size=chunk_size,
         backend=backend,
@@ -431,9 +412,7 @@ def run_runtime_study(
                     ratio=float(col["ratio"]),
                 )
             )
-    return RuntimeStudyResult(
-        records=tuple(records), n_repeats=n_repeats, engine=engine
-    )
+    return RuntimeStudyResult(records=tuple(records), n_repeats=n_repeats)
 
 
 def render_runtime_study(result: RuntimeStudyResult) -> str:

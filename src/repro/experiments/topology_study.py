@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.config import normalize_engine
 from repro.experiments.runtime_study import METRIC_COLUMNS, run_study_cells
 from repro.problems.samplers import AlphaSampler, UniformAlpha
 from repro.simulator.collectives import LogCost
@@ -101,7 +100,6 @@ def run_topology_study(
     sampler: Optional[AlphaSampler] = None,
     n_repeats: int = 3,
     seed: int = 20260706,
-    engine: str = "fastpath",
     n_jobs: int = 1,
     chunk_size: Optional[int] = None,
     backend: str = "processes",
@@ -111,15 +109,13 @@ def run_topology_study(
     Trial ``t`` of cell ``(topology, algorithm, N)`` derives its draws
     from ``(seed, algorithm, N, t)`` only -- every topology sees the
     *same* instances, so :meth:`TopologyStudyResult.slowdown` compares
-    like with like.  ``engine="fastpath"`` uses the closed-form kernels
-    for HF/BA/BA-HF (topology-aware) and falls back to the DES for PHF,
-    whose on-line phase 2 has no closed form on a topology; both engines
-    report bit-identical numbers for any ``n_jobs`` and either
+    like with like.  Every cell runs on the topology-aware closed-form
+    kernels, PHF included (central phase 1), which are bit-identical to
+    the DES; the numbers are the same for any ``n_jobs`` and either
     ``backend`` (``"processes"`` or ``"threads"``).
     """
     if n_repeats < 1:
         raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
-    engine = normalize_engine(engine)
     for name in topologies:
         if name not in TOPOLOGIES:
             raise ValueError(f"unknown topology {name!r}")
@@ -135,7 +131,6 @@ def run_topology_study(
         sampler,
         n_trials=n_repeats,
         seed=seed,
-        engine=engine,
         n_jobs=n_jobs,
         chunk_size=chunk_size,
         backend=backend,

@@ -1,8 +1,24 @@
 """Tests for the repro-experiments CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _cli_subprocess_env():
+    """The current environment with this checkout's ``src`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    ).rstrip(os.pathsep)
+    return env
 
 
 class TestParser:
@@ -64,6 +80,38 @@ class TestMain:
     def test_bad_max_n_exits(self):
         with pytest.raises(SystemExit):
             main(["table1", "--trials", "5", "--max-n", "2"])
+
+    def test_max_n_caps_each_experiments_own_grid(self, capsys):
+        # the runtime grid starts at N=4 and the topology grid at N=16,
+        # below the sweep grid's N=32
+        assert main(["runtime", "--max-n", "16"]) == 0
+        rows = [
+            line.split("|")[0].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.split("|")[0].strip().isdigit()
+        ]
+        assert rows == ["4", "8", "16"]
+        assert main(["topology", "--max-n", "16"]) == 0
+        assert "Topology study" in capsys.readouterr().out
+
+    def test_max_n_is_ignored_without_an_n_grid(self, capsys):
+        assert main(["worstcase", "--max-n", "8"]) == 0
+        assert "tightness" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("experiment", ["distributions", "fault"])
+    def test_max_n_below_an_experiments_grid_exits_1(self, experiment):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.cli", experiment,
+             "--trials", "2", "--max-n", "16"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=REPO_ROOT,
+            env=_cli_subprocess_env(),
+        )
+        assert proc.returncode == 1
+        assert "--max-n 16 removes every N value" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_topology_smoke(self, capsys):
         assert main(["topology", "--max-n", "64"]) == 0
@@ -148,11 +196,22 @@ class TestErrorPaths:
         assert "Traceback" not in err
         return err
 
-    def test_unknown_engine(self, capsys):
-        err = self._argparse_error(
-            capsys, ["runtime", "--max-n", "32", "--engine", "warp"]
-        )
-        assert "--engine" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--trials", "0"],
+            ["table1", "--trials", "-3"],
+            ["table1", "--jobs", "0"],
+            ["table1", "--jobs", "-1"],
+            ["table1", "--deadline", "0"],
+            ["table1", "--deadline", "-1"],
+            ["table1", "--deadline", "nan"],
+        ],
+        ids=lambda argv: " ".join(argv[1:]),
+    )
+    def test_non_positive_counts_are_usage_errors(self, capsys, argv):
+        err = self._argparse_error(capsys, argv)
+        assert argv[1] in err and "positive" in err
 
     def test_alpha_out_of_range(self, capsys):
         err = self._argparse_error(
@@ -209,13 +268,9 @@ class TestCancellation:
         assert main(list(self.GRID)) == 0
         return capsys.readouterr().out
 
-    def test_deadline_cancels_with_resume_hint(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # stretch the run with transient chaos + slow retry backoff (the
-        # REPRO_BACKOFF_* env knobs) so the deadline reliably strikes
-        monkeypatch.setenv("REPRO_BACKOFF_BASE", "0.25")
-        monkeypatch.setenv("REPRO_BACKOFF_CAP", "0.5")
+    def test_deadline_cancels_with_resume_hint(self, tmp_path, capsys):
+        # transient chaos stretches the run (retries back off) so the
+        # deadline reliably strikes
         journal = tmp_path / "t1.jsonl"
         rc = main(
             self.GRID
@@ -233,30 +288,15 @@ class TestCancellation:
         assert journal.exists()
 
         # the resume completes the run and renders bit-identically
-        monkeypatch.delenv("REPRO_BACKOFF_BASE")
-        monkeypatch.delenv("REPRO_BACKOFF_CAP")
         assert main(self.GRID + ["--journal", str(journal), "--resume"]) == 0
         resumed = capsys.readouterr().out
         assert resumed == self.plain_output(capsys)
 
     def test_sigterm_cancels_subprocess_with_exit_130(self, tmp_path, capsys):
-        import os
         import signal
-        import subprocess
-        import sys
         import time
-        from pathlib import Path
 
-        repo_root = Path(__file__).resolve().parent.parent
         journal = tmp_path / "t1.jsonl"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(repo_root / "src")
-            + os.pathsep
-            + env.get("PYTHONPATH", "")
-        ).rstrip(os.pathsep)
-        env["REPRO_BACKOFF_BASE"] = "0.25"
-        env["REPRO_BACKOFF_CAP"] = "0.5"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.experiments.cli"]
             + self.GRID
@@ -264,8 +304,8 @@ class TestCancellation:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            cwd=repo_root,
-            env=env,
+            cwd=REPO_ROOT,
+            env=_cli_subprocess_env(),
         )
         try:
             # wait for real progress (journal header + >= 1 chunk), then

@@ -3,16 +3,10 @@
 import pytest
 
 from repro.experiments.config import (
-    DEFAULT_BACKOFF_BASE,
-    DEFAULT_BACKOFF_CAP,
     DEFAULT_CHUNK_SIZE,
     DEFAULT_N_VALUES,
-    DEFAULT_POOL_REBUILDS,
     PAPER_N_VALUES,
     StochasticConfig,
-    default_backoff_base,
-    default_backoff_cap,
-    default_pool_rebuilds,
     full_scale_requested,
 )
 from repro.problems import UniformAlpha
@@ -100,50 +94,3 @@ class TestChunkSize:
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
             StochasticConfig(chunk_size=bad)
-
-
-class TestResilienceEnvKnobs:
-    """REPRO_BACKOFF_BASE / REPRO_BACKOFF_CAP / REPRO_POOL_REBUILDS tune
-    the supervised executor without code changes (docs/resilience.md)."""
-
-    KNOBS = (
-        ("REPRO_BACKOFF_BASE", default_backoff_base, DEFAULT_BACKOFF_BASE),
-        ("REPRO_BACKOFF_CAP", default_backoff_cap, DEFAULT_BACKOFF_CAP),
-        ("REPRO_POOL_REBUILDS", default_pool_rebuilds, DEFAULT_POOL_REBUILDS),
-    )
-
-    def test_unset_yields_baked_in_defaults(self, monkeypatch):
-        for name, getter, default in self.KNOBS:
-            monkeypatch.delenv(name, raising=False)
-            assert getter() == default
-
-    def test_empty_string_falls_back_to_default(self, monkeypatch):
-        for name, getter, default in self.KNOBS:
-            monkeypatch.setenv(name, "  ")
-            assert getter() == default
-
-    def test_env_overrides_apply(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKOFF_BASE", "0.5")
-        monkeypatch.setenv("REPRO_BACKOFF_CAP", "3.25")
-        monkeypatch.setenv("REPRO_POOL_REBUILDS", "7")
-        assert default_backoff_base() == 0.5
-        assert default_backoff_cap() == 3.25
-        assert default_pool_rebuilds() == 7
-
-    def test_zero_is_a_legal_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKOFF_BASE", "0")
-        monkeypatch.setenv("REPRO_POOL_REBUILDS", "0")
-        assert default_backoff_base() == 0.0
-        assert default_pool_rebuilds() == 0
-
-    @pytest.mark.parametrize("value", ["abc", "-1", "nan"])
-    def test_bad_float_values_raise(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BACKOFF_BASE", value)
-        with pytest.raises(ValueError, match="REPRO_BACKOFF_BASE"):
-            default_backoff_base()
-
-    @pytest.mark.parametrize("value", ["2.5", "-3", "many"])
-    def test_bad_int_values_raise(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_POOL_REBUILDS", value)
-        with pytest.raises(ValueError, match="REPRO_POOL_REBUILDS"):
-            default_pool_rebuilds()

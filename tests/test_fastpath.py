@@ -301,8 +301,12 @@ def test_no_compiler_fallback_bit_identical(algorithm, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Study integration: engines and worker counts are bit-identical
+# Study integration: the DES, the fastpath and worker counts are
+# bit-identical.  Event recording is the one switch that sends a study
+# cell to the DES without changing the machine it models.
 # ----------------------------------------------------------------------
+
+DES_ONLY = MachineConfig(record_events=True)
 
 
 def test_study_engines_bit_identical():
@@ -312,11 +316,9 @@ def test_study_engines_bit_identical():
     for algorithm in ("hf", "ba", "bahf", "phf"):
         for n in (1, 9, 64):
             des = study_trial_metrics(
-                algorithm, n, sampler, n_trials=6, seed=55, engine="des"
+                algorithm, n, sampler, n_trials=6, seed=55, config=DES_ONLY
             )
-            fast = study_trial_metrics(
-                algorithm, n, sampler, n_trials=6, seed=55, engine="fastpath"
-            )
+            fast = study_trial_metrics(algorithm, n, sampler, n_trials=6, seed=55)
             assert des.tobytes() == fast.tobytes(), (algorithm, n)
 
 
@@ -324,19 +326,18 @@ def test_study_chunking_matches_serial():
     from repro.experiments.runtime_study import study_trial_metrics
 
     sampler = UniformAlpha(0.15, 0.5)
-    whole = study_trial_metrics("bahf", 32, sampler, n_trials=7, seed=3, engine="fastpath")
+    whole = study_trial_metrics("bahf", 32, sampler, n_trials=7, seed=3)
     parts = [
         study_trial_metrics(
-            "bahf", 32, sampler, n_trials=stop - start, seed=3, start=start,
-            engine="fastpath",
+            "bahf", 32, sampler, n_trials=stop - start, seed=3, start=start
         )
         for start, stop in [(0, 3), (3, 5), (5, 7)]
     ]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
-@pytest.mark.parametrize("engine", ["des", "fastpath"])
-def test_runtime_study_njobs_invariant(engine):
+@pytest.mark.parametrize("config", [DES_ONLY, None], ids=["des", "fastpath"])
+def test_runtime_study_njobs_invariant(config):
     from repro.experiments.runtime_study import run_runtime_study
 
     kwargs = dict(
@@ -344,7 +345,7 @@ def test_runtime_study_njobs_invariant(engine):
         algorithms=("hf", "ba", "phf"),
         n_repeats=6,
         seed=17,
-        engine=engine,
+        config=config,
         chunk_size=2,
     )
     serial = run_runtime_study(n_jobs=1, **kwargs)
@@ -352,7 +353,8 @@ def test_runtime_study_njobs_invariant(engine):
     assert serial.records == parallel.records
 
 
-def test_topology_study_njobs_and_engine_invariant():
+def test_topology_study_njobs_and_engine_invariant(monkeypatch):
+    from repro.experiments import runtime_study
     from repro.experiments.topology_study import run_topology_study
 
     kwargs = dict(
@@ -363,8 +365,12 @@ def test_topology_study_njobs_and_engine_invariant():
         seed=23,
         chunk_size=2,
     )
-    a = run_topology_study(engine="fastpath", n_jobs=1, **kwargs)
-    b = run_topology_study(engine="fastpath", n_jobs=3, **kwargs)
-    c = run_topology_study(engine="des", n_jobs=1, **kwargs)
+    a = run_topology_study(n_jobs=1, **kwargs)
+    b = run_topology_study(n_jobs=3, **kwargs)
+    # every cell on the DES (serial, so the patch applies to every chunk)
+    monkeypatch.setattr(
+        runtime_study, "fastpath_supported", lambda *a, **k: False
+    )
+    c = run_topology_study(n_jobs=1, **kwargs)
     assert a.records == b.records
     assert a.records == c.records

@@ -148,7 +148,6 @@ class TestKernelThreadInvariance:
             n_trials=12,
             seed=9,
             config=MachineConfig(),
-            engine="fastpath",
             n_threads=1,
         )
         out = study_trial_metrics(
@@ -158,7 +157,6 @@ class TestKernelThreadInvariance:
             n_trials=12,
             seed=9,
             config=MachineConfig(),
-            engine="fastpath",
             n_threads=n_threads,
         )
         assert np.array_equal(out, base)

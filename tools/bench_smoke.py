@@ -87,7 +87,6 @@ def _entries() -> Dict[str, Callable[[int], None]]:
             n_trials=n_trials,
             seed=SEED,
             config=MachineConfig(),
-            engine="fastpath",
             n_threads=1,
         )
 
